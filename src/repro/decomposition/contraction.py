@@ -93,6 +93,19 @@ def matching_labels(match: np.ndarray) -> np.ndarray:
     return labels.astype(np.int64, copy=False)
 
 
+def _heaviest_neighbour(g: Graph) -> np.ndarray:
+    """Neighbour across each vertex's heaviest edge (the first CSR entry
+    on ties, ``-1`` if isolated), by two segment reductions over rows."""
+    deg = np.diff(g.indptr)
+    nz = deg > 0
+    start = g.indptr[:-1][nz]
+    top = np.repeat(np.maximum.reduceat(g.adj_weights, start), deg[nz])
+    pos = np.where(g.adj_weights == top, np.arange(top.size), top.size)
+    heavy = np.full(g.n, -1, dtype=np.int64)
+    heavy[nz] = g.indices[np.minimum.reduceat(pos, start)]
+    return heavy
+
+
 def aggregate_unmatched(
     g: Graph,
     match: np.ndarray,
@@ -122,15 +135,8 @@ def aggregate_unmatched(
     free = (np.asarray(match) < 0) & (deg > 0)
     if not free.any():
         return labels
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    order = np.lexsort((-g.adj_weights, owner))
-    # Sorted stably by owner, each vertex's segment keeps its CSR
-    # position, so the segment's first sorted entry is its heaviest edge.
-    heavy_nbr = np.full(n, -1, dtype=np.int64)
-    nz = deg > 0
-    heavy_nbr[nz] = g.indices[order[g.indptr[:-1][nz]]]
     fv = np.nonzero(free)[0]
-    target = labels[heavy_nbr[fv]]
+    target = labels[_heaviest_neighbour(g)[fv]]
     if vertex_weights is None or max_weight is None:
         labels[fv] = target
     else:
@@ -185,13 +191,8 @@ def two_hop_matching(
     free = (match < 0) & (deg > 0)
     if not free.any():
         return match
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    order = np.lexsort((-g.adj_weights, owner))
-    heavy_nbr = np.full(n, -1, dtype=np.int64)
-    nz = deg > 0
-    heavy_nbr[nz] = g.indices[order[g.indptr[:-1][nz]]]
     fv = np.nonzero(free)[0]
-    key = heavy_nbr[fv]
+    key = _heaviest_neighbour(g)[fv]
     if vertex_weights is not None and max_weight is not None:
         vw = np.asarray(vertex_weights, dtype=np.float64)
         limit = float(max_weight) * (1 + 1e-9)

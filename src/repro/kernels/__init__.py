@@ -27,8 +27,8 @@ implementations without touching the algorithms:
 Backends
 --------
 ``python``
-    The reference implementations, *extracted* (not rewritten) from the
-    original modules.  Always available.
+    The reference implementations (``heavy_edge_match`` rewritten
+    sort-free, the rest extracted verbatim).  Always available.
 ``numba``
     ``@njit(cache=True)`` ports, soft-gated on ``import numba``: when
     numba is missing the registry logs one line and falls back to
@@ -375,9 +375,9 @@ def heavy_edge_match(
 ):
     """Proposal-round heavy-edge matching over CSR adjacency.
 
-    ``tie`` is the per-vertex random priority, ``fits`` the per-CSR-entry
-    eligibility mask (weight caps).  Returns ``match[v]`` = partner or
-    ``-1``.
+    ``tie`` is the per-vertex random priority breaking weight ties (then
+    the earlier CSR entry wins), ``fits`` the 0/1 per-CSR-entry eligibility
+    mask (weight caps).  Returns ``match[v]`` = partner or ``-1``.
     """
     b = backend if backend is not None else get_backend()
     _dispatch_child("heavy_edge_match", b.name).inc()

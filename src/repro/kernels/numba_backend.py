@@ -216,8 +216,8 @@ def csr_matvec(indptr, indices, data, x):
 
 @njit(cache=True)
 def heavy_edge_match(indptr, indices, weights, tie, fits, rounds):
-    # Per-vertex best-eligible scan: (max weight, min neighbour tie) is
-    # exactly the first entry of the python backend's lexsorted segment.
+    # Per-vertex best-eligible scan: max weight, then min neighbour tie,
+    # then (strict comparisons) the earlier CSR entry — python's order.
     n = indptr.shape[0] - 1
     match = np.full(n, -1, np.int64)
     proposal = np.empty(n, np.int64)

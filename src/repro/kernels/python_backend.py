@@ -1,11 +1,12 @@
 """Pure-python/numpy reference backend for the kernel ABI.
 
 These are the original hot-loop implementations *extracted* from
-:mod:`repro.flow.maxflow`, :mod:`repro.hgpt.dp`,
-:mod:`repro.graph.spectral` and :mod:`repro.decomposition.contraction`
-— not rewrites.  They define the bit-exact contract every other backend
-must match (``tests/kernels/test_backends.py``), so changes here are
-semantic changes to the solver.
+:mod:`repro.flow.maxflow`, :mod:`repro.hgpt.dp` and
+:mod:`repro.graph.spectral`, plus a sort-free ``heavy_edge_match``
+checked against its lexsort original in ``tests/kernels/reference.py``.
+They define the bit-exact contract every other backend must match
+(``tests/kernels/test_backends.py``), so changes here are semantic
+changes to the solver.
 """
 
 from __future__ import annotations
@@ -295,8 +296,13 @@ def csr_matvec(
 
 
 # ----------------------------------------------------------------------
-# heavy-edge matching (from repro.decomposition.contraction)
+# heavy-edge matching
 # ----------------------------------------------------------------------
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in ``keys`` (none if empty)."""
+    return np.flatnonzero(np.concatenate(([keys.size > 0], keys[1:] != keys[:-1])))
 
 
 def heavy_edge_match(
@@ -310,36 +316,29 @@ def heavy_edge_match(
     """Proposal rounds over CSR adjacency (see the dispatch docstring)."""
     n = indptr.shape[0] - 1
     match = np.full(n, -1, dtype=np.int64)
-    deg = np.diff(indptr)
-    owner = np.repeat(np.arange(n, dtype=np.int64), deg)
-    # Static per-call entry order: within each vertex's CSR segment,
-    # heaviest edge first, then lowest random priority of the neighbour.
-    order = np.lexsort((tie[indices], -weights, owner))
-    nbr = indices[order]
-    fits = fits[order]
-    n_entries = nbr.size
-    entry_pos = np.arange(n_entries, dtype=np.int64)
-    seg_start = indptr[:-1]
-    nonempty = deg > 0
-    ids = np.arange(n, dtype=np.int64)
+    # Live entries, owner-grouped in CSR order.  Entries touching a matched
+    # vertex can never become eligible again, so each round drops them.
+    live = np.flatnonzero(fits)
+    own = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))[live]
+    nbr, w = indices[live], weights[live]
+    best_w, best_t = np.empty(n, dtype=w.dtype), np.empty(n, dtype=tie.dtype)
     for _ in range(rounds):
-        free = match < 0
-        if not free.any():
-            break
-        elig = fits & free[nbr]
-        # First eligible entry per CSR segment (min position, reduceat
-        # over the non-empty segments only; an empty reduce is invalid).
-        pos = np.where(elig, entry_pos, n_entries)
-        first = np.full(n, n_entries, dtype=np.int64)
-        if nonempty.any():
-            first[nonempty] = np.minimum.reduceat(pos, seg_start[nonempty])
+        # Proposal: the heaviest live entry, then smallest tie, then first.
+        start = _run_starts(own)
+        best_w[own[start]] = np.maximum.reduceat(w, start)
+        cand = np.flatnonzero(w == best_w[own])
+        start = _run_starts(own[cand])
+        best_t[own[cand[start]]] = np.minimum.reduceat(tie[nbr[cand]], start)
+        cand = cand[tie[nbr[cand]] == best_t[own[cand]]]
+        cand = cand[_run_starts(own[cand])]
+        src, dst = own[cand], nbr[cand]
         proposal = np.full(n, -1, dtype=np.int64)
-        has = free & (first < n_entries)
-        proposal[has] = nbr[first[has]]
+        proposal[src] = dst
         # Conflict resolution: only mutual proposals match this round.
-        target = np.where(proposal >= 0, proposal, 0)
-        mutual = (proposal >= 0) & (proposal[target] == ids)
-        if not mutual.any():
+        mutual = proposal[dst] == src
+        match[src[mutual]] = dst[mutual]
+        live = np.flatnonzero((match[own] < 0) & (match[nbr] < 0))
+        own, nbr, w = own[live], nbr[live], w[live]
+        if not (mutual.any() and own.size):
             break
-        match[mutual] = proposal[mutual]
     return match
