@@ -42,8 +42,8 @@ def _experiment() -> Table:
         table.add_row(
             [
                 inst.graph.n,
-                res.stopwatch.total("trees"),
-                res.stopwatch.total("dp"),
+                res.telemetry.root.lookup("trees").seconds,
+                res.telemetry.root.lookup("dp").seconds,
                 total,
                 res.cost,
                 g_cost,

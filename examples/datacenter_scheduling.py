@@ -18,6 +18,7 @@ from repro import Hierarchy, SolverConfig, solve_hgp
 from repro.baselines import placement_baselines
 from repro.bench import Table
 from repro.graph import power_law, random_demands
+from repro.obs.report import render_report
 
 
 def main() -> None:
@@ -46,8 +47,8 @@ def main() -> None:
     add("hgp", result.placement)
     table.show()
 
-    print("\nphase timings (hgp):")
-    print(result.stopwatch.summary())
+    print("\nrun report (hgp):")
+    print(render_report(result.report()))
 
 
 if __name__ == "__main__":

@@ -41,9 +41,9 @@ from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.placement import Placement
 from repro.core.config import SolverConfig
-from repro.core.engine import run_pipeline
+from repro.core.engine import EngineResult, run_pipeline
 from repro.core.resilience import ResilienceConfig, RetryPolicy
-from repro.core.solver import HGPResult, solve_hgp, solve_hgpt
+from repro.core.solver import solve_hgp, solve_hgpt
 from repro.core.telemetry import RunReport, Telemetry
 from repro.core.exact import exact_hgp
 from repro.core.kbgp import kbgp_hierarchy, solve_kbgp
@@ -65,7 +65,7 @@ __all__ = [
     "CacheConfig",
     "get_cache",
     "configure_cache",
-    "HGPResult",
+    "EngineResult",
     "solve_hgp",
     "solve_hgpt",
     "run_pipeline",

@@ -33,6 +33,7 @@ import numpy as np
 from repro.errors import InvalidInputError
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
+from repro.hierarchy.placement import eq1_cost
 
 __all__ = ["fm_refine", "fm_refine_hierarchy", "HierarchyRefineStats", "eq1_cost"]
 
@@ -180,19 +181,6 @@ class HierarchyRefineStats:
     moves: int = 0
     gain: float = 0.0
     rolled_back: bool = False
-
-
-def eq1_cost(g: Graph, hierarchy: Hierarchy, leaf_of: np.ndarray) -> float:
-    """Eq. (1) cost of a raw leaf labelling (no :class:`Placement` needed).
-
-    The multilevel refiner evaluates intermediate coarse levels whose
-    summed demands need no placement-level validation; this is the same
-    vectorised kernel as :meth:`repro.hierarchy.placement.Placement.cost`.
-    """
-    if g.m == 0:
-        return 0.0
-    mult = hierarchy.pair_cost_multiplier(leaf_of[g.edges_u], leaf_of[g.edges_v])
-    return float(np.dot(np.asarray(mult, dtype=np.float64), g.edges_w))
 
 
 def fm_refine_hierarchy(

@@ -53,7 +53,7 @@ from repro.graph.io import read_edgelist, read_metis, write_edgelist
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.report import placement_to_json, render_placement
 from repro.core.config import SolverConfig
-from repro.core.engine import run_pipeline
+from repro.core.solver import solve_hgp
 
 __all__ = ["main", "build_parser"]
 
@@ -533,12 +533,7 @@ def _run_solve(args: argparse.Namespace) -> int:
             kernel=KernelConfig(backend=args.kernel_backend),
             incremental=IncrementalConfig(enabled=not args.no_incremental),
         )
-        if args.multilevel:
-            from repro.multilevel import solve_multilevel
-
-            result = solve_multilevel(g, hier, d, cfg, logger=logger)
-        else:
-            result = run_pipeline(g, hier, d, cfg, path="batch", logger=logger)
+        result = solve_hgp(g, hier, d, cfg, logger=logger)
         placement = result.placement
         if result.degraded:
             print(

@@ -8,7 +8,7 @@ from repro.core.engine import (
     run_pipeline,
     solve_member,
 )
-from repro.core.solver import HGPResult, solve_hgp, solve_hgpt
+from repro.core.solver import solve_hgp, solve_hgpt
 from repro.core.exact import exact_hgp
 from repro.core.kbgp import kbgp_hierarchy, minimum_bisection, solve_kbgp
 from repro.core.portfolio import seed_portfolio, solve_hgp_portfolio
@@ -21,7 +21,6 @@ __all__ = [
     "RunContext",
     "run_pipeline",
     "solve_member",
-    "HGPResult",
     "solve_hgp",
     "solve_hgpt",
     "exact_hgp",

@@ -30,11 +30,16 @@ Stages
     report carries the full stage skeleton).
 
 The per-member work (DP + repair) is fused into :func:`solve_member`,
-which times its own phases with a :class:`repro.utils.timing.Stopwatch`
-and returns a picklable :class:`MemberOutcome`.  The process-pool path
-ships those outcomes back from the workers and the parent folds the
-timings into its telemetry via :meth:`Stopwatch.merge` — parallel runs
-report the same non-empty ``dp``/``repair`` breakdown as serial ones.
+which times its own phases into the member's :class:`MemberRecord`
+(``dp_seconds`` / ``repair_seconds``) and returns a picklable
+:class:`MemberOutcome`.  The process-pool path ships those outcomes back
+from the workers and the parent folds the record seconds into its
+``dp``/``repair`` spans — parallel runs report the same non-empty
+breakdown as serial ones, and spans stay the one timing model.
+
+Every solve entry point (:func:`run_pipeline`,
+:func:`repro.core.solver.solve_hgp`, the multilevel front-end, the
+portfolio racer and guided iteration) returns an :class:`EngineResult`.
 """
 
 from __future__ import annotations
@@ -69,8 +74,6 @@ from repro.core.telemetry import (
 )
 from repro.obs.logging import NULL_LOGGER, StructuredLogger, new_run_id
 from repro.obs.metrics import get_registry
-from repro.utils.rng import ensure_rng
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "STAGE_NAMES",
@@ -87,7 +90,6 @@ __all__ = [
     "solve_member",
     "run_pipeline",
     "validate_instance",
-    "check_instance",
     "incremental_enabled",
 ]
 
@@ -143,11 +145,6 @@ def validate_instance(
         )
 
 
-#: Pre-resilience name of :func:`validate_instance`, kept as an alias for
-#: callers written against the old engine API.
-check_instance = validate_instance
-
-
 def make_grid(
     hierarchy: Hierarchy, demands: np.ndarray, config: SolverConfig
 ) -> DemandGrid:
@@ -180,18 +177,10 @@ class RunContext:
         Pipeline knobs.
     telemetry:
         Structured collector; stages open their spans on it.
-    rng:
-        RNG seeded from ``config.seed`` for stages that need extra
-        randomness (the ensemble builder derives its own child streams
-        from ``config.seed`` directly so results stay reproducible).
     grid:
-        Demand grid (filled by :class:`QuantizeStage`; pre-set to reuse
-        a caller's grid).
+        Demand grid (filled by :class:`QuantizeStage`).
     trees:
-        Decomposition-tree ensemble (filled by :class:`EmbedStage`;
-        pre-set to solve on caller-supplied trees).
-    outcomes:
-        One :class:`MemberOutcome` per ensemble member.
+        Decomposition-tree ensemble (filled by :class:`EmbedStage`).
     placement:
         The winning placement (set by :class:`RepairStage` selection,
         polished by :class:`RefineStage`).
@@ -209,18 +198,14 @@ class RunContext:
     demands: np.ndarray
     config: SolverConfig
     telemetry: Telemetry
-    rng: np.random.Generator = None  # type: ignore[assignment]
     grid: Optional[DemandGrid] = None
     trees: Optional[List[DecompositionTree]] = None
-    outcomes: List["MemberOutcome"] = field(default_factory=list)
     placement: Optional[Placement] = None
     run_id: Optional[str] = None
     logger: StructuredLogger = NULL_LOGGER
     _gen_ref: Optional[object] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rng is None:
-            self.rng = ensure_rng(self.config.seed)
         if self.run_id is None:
             self.run_id = new_run_id()
         if self.logger.run_id != self.run_id:
@@ -254,16 +239,6 @@ class RunContext:
             worker_pool.release_generation(self._gen_ref)
             self._gen_ref = None
 
-    @property
-    def tree_costs(self) -> List[float]:
-        """Mapped Eq. (1) cost of each member, in ensemble order."""
-        return [o.mapped_cost for o in self.outcomes]
-
-    @property
-    def dp_costs(self) -> List[float]:
-        """DP (tree-side) cost of each member, in ensemble order."""
-        return [o.dp_cost for o in self.outcomes]
-
 
 @dataclass
 class MemberOutcome:
@@ -281,10 +256,9 @@ class MemberOutcome:
     mapped_cost:
         True Eq. (1) cost of ``placement``.
     record:
-        Telemetry member record (timings + DP counters).
-    timings:
-        Per-phase stopwatch (``dp`` / ``repair`` sections) measured where
-        the member actually ran — in-process or in a pool worker.
+        Telemetry member record: DP counters plus the ``dp`` / ``repair``
+        seconds measured where the member actually ran — in-process or
+        in a pool worker.
     log_records:
         Structured log records emitted where the member ran; pool
         workers ship them back here and the parent replays them through
@@ -296,7 +270,6 @@ class MemberOutcome:
     dp_cost: float
     mapped_cost: float
     record: MemberRecord
-    timings: Stopwatch
     log_records: List[dict] = field(default_factory=list)
 
 
@@ -328,39 +301,38 @@ class EmbedStage(Stage):
     name = "trees"
 
     def run(self, ctx: RunContext) -> None:
-        """Fill ``ctx.trees`` (skipped when the caller pre-supplied them)."""
+        """Fill ``ctx.trees``."""
         with ctx.telemetry.span(self.name):
-            if ctx.trees is None:
-                cfg = ctx.config
-                cache = None
-                parts = None
-                if cfg.cache.enabled:
-                    cache = resolve_cache(cfg.cache)
-                    parts = ensemble_cache_parts(
-                        ctx.graph, cfg.n_trees, cfg.tree_methods, cfg.seed
-                    )
-                hit = False
-                trees: Optional[List[DecompositionTree]] = None
+            cfg = ctx.config
+            cache = None
+            parts = None
+            if cfg.cache.enabled:
+                cache = resolve_cache(cfg.cache)
+                parts = ensemble_cache_parts(
+                    ctx.graph, cfg.n_trees, cfg.tree_methods, cfg.seed
+                )
+            hit = False
+            trees: Optional[List[DecompositionTree]] = None
+            if cache is not None and parts is not None:
+                hit, trees = cache.lookup("trees", parts)
+            if hit:
+                assert trees is not None
+                ctx.trees = list(trees)
+                ctx.telemetry.counter("cache_hits", 1)
+                ctx.logger.info(
+                    "trees_cache_hit", n_trees=len(ctx.trees)
+                )
+            else:
+                ctx.trees = racke_ensemble(
+                    ctx.graph,
+                    n_trees=cfg.n_trees,
+                    methods=cfg.tree_methods,
+                    seed=cfg.seed,
+                    use_cache=False,
+                )
                 if cache is not None and parts is not None:
-                    hit, trees = cache.lookup("trees", parts)
-                if hit:
-                    assert trees is not None
-                    ctx.trees = list(trees)
-                    ctx.telemetry.counter("cache_hits", 1)
-                    ctx.logger.info(
-                        "trees_cache_hit", n_trees=len(ctx.trees)
-                    )
-                else:
-                    ctx.trees = racke_ensemble(
-                        ctx.graph,
-                        n_trees=cfg.n_trees,
-                        methods=cfg.tree_methods,
-                        seed=cfg.seed,
-                        use_cache=False,
-                    )
-                    if cache is not None and parts is not None:
-                        cache.store("trees", parts, list(ctx.trees))
-                        ctx.telemetry.counter("cache_misses", 1)
+                    cache.store("trees", parts, list(ctx.trees))
+                    ctx.telemetry.counter("cache_misses", 1)
             ctx.telemetry.counter("n_trees", len(ctx.trees))
 
 
@@ -370,10 +342,9 @@ class QuantizeStage(Stage):
     name = "quantize"
 
     def run(self, ctx: RunContext) -> None:
-        """Fill ``ctx.grid`` (skipped when the caller pre-supplied one)."""
+        """Fill ``ctx.grid``."""
         with ctx.telemetry.span(self.name):
-            if ctx.grid is None:
-                ctx.grid = make_grid(ctx.hierarchy, ctx.demands, ctx.config)
+            ctx.grid = make_grid(ctx.hierarchy, ctx.demands, ctx.config)
             ctx.telemetry.counter(
                 "grid_cells", float(ctx.grid.quantize(ctx.demands).sum())
             )
@@ -530,31 +501,34 @@ def solve_member(
 
     This is the unit of work the engine fans out — in-process for
     ``n_jobs == 1``, in pool workers otherwise.  The returned
-    :class:`MemberOutcome` is picklable and carries its own stopwatch
-    and log records (stamped with ``run_id`` and the worker's pid), so
-    the parent can merge worker timings into its telemetry and replay
-    worker logs under the run's correlation id.  ``attempt`` is which
-    resilience-layer attempt this solve is (stamped into the member
-    record as ``attempts``); the solve itself is attempt-independent, so
-    retried members produce bit-identical placements and costs.
+    :class:`MemberOutcome` is picklable; its record carries the phase
+    seconds and its log records are stamped with ``run_id`` and the
+    worker's pid, so the parent can fold worker timings into its spans
+    and replay worker logs under the run's correlation id.  ``attempt``
+    is which resilience-layer attempt this solve is (stamped into the
+    member record as ``attempts``); the solve itself is
+    attempt-independent, so retried members produce bit-identical
+    placements and costs.
     """
     own_stats = DPStats()
-    sw = Stopwatch()
     kcfg = getattr(config, "kernel", None)
     # mark_active gives the sampling profiler span attribution for these
-    # phases; the Stopwatch (picklable, worker-side) stays the timing
-    # source of truth.  The kernel scope makes pool workers (which see
-    # only this function) dispatch on the run's configured backend.
+    # phases; the seconds travel home on the (picklable) record.  The
+    # kernel scope makes pool workers (which see only this function)
+    # dispatch on the run's configured backend.
     with kernels.use_backend(kcfg.backend if kcfg is not None else "auto"):
-        with sw.section("dp"), mark_active("dp"):
+        with mark_active("dp"):
+            t0 = time.perf_counter()
             solution, escalations = _DP_STAGE.run_member(
                 tree, hierarchy, demands, config, grid, stats=own_stats
             )
-        with sw.section("repair"), mark_active("repair"):
+            t1 = time.perf_counter()
+        with mark_active("repair"):
             placement = _REPAIR_STAGE.run_member(
                 tree, hierarchy, demands, solution, grid
             )
             mapped = placement.cost()
+            t2 = time.perf_counter()
     if stats is not None:
         stats.update(own_stats)
     record = MemberRecord(
@@ -562,8 +536,8 @@ def solve_member(
         method=getattr(tree, "method", None),
         dp_cost=float(solution.cost),
         mapped_cost=float(mapped),
-        dp_seconds=sw.total("dp"),
-        repair_seconds=sw.total("repair"),
+        dp_seconds=t1 - t0,
+        repair_seconds=t2 - t1,
         beam_escalations=escalations,
         attempts=attempt,
         dp_nodes=own_stats.nodes,
@@ -600,7 +574,6 @@ def solve_member(
         dp_cost=float(solution.cost),
         mapped_cost=float(mapped),
         record=record,
-        timings=sw,
         log_records=log_records,
     )
 
@@ -612,11 +585,31 @@ def solve_member(
 
 @dataclass
 class EngineResult:
-    """What one engine run produced: placement, diagnostics, telemetry.
+    """What one solve produced: placement, diagnostics, telemetry.
 
-    ``failures`` is non-empty (and ``degraded`` True) only when the
-    resilience policy allowed the run to complete on a partial ensemble;
-    see :mod:`repro.core.resilience`.
+    The one result type of every solve entry point (:func:`run_pipeline`,
+    :func:`repro.core.solver.solve_hgp`, the portfolio racer, guided
+    iteration; the multilevel front-end returns a subclass).
+
+    Attributes
+    ----------
+    placement:
+        The best placement found (lowest true Eq. (1) cost); its
+        capacity violation is at most ``(1 + ε)(1 + h)``.
+    tree_costs, dp_costs:
+        Mapped and DP (tree-side) cost of each ensemble member; the DP
+        cost upper-bounds the mapped one (Proposition 1).
+    grid:
+        The demand grid used.
+    telemetry:
+        The run's span tree and member records — the one timing model
+        (stage seconds are ``telemetry.root.lookup(name).seconds``).
+    failures:
+        Non-empty (and ``degraded`` True) only when the resilience
+        policy allowed the run to complete on a partial ensemble; see
+        :mod:`repro.core.resilience`.
+    kernel_backend, incremental:
+        Resolved-mode stamps that :meth:`report` copies into its meta.
     """
 
     placement: Placement
@@ -640,10 +633,6 @@ class EngineResult:
         """True Eq. (1) cost of the winning placement."""
         return self.placement.cost()
 
-    def stopwatch(self) -> Stopwatch:
-        """Legacy flat phase-timing view (the telemetry root's children)."""
-        return self.telemetry.to_stopwatch()
-
     def report(self, **meta: object) -> RunReport:
         """Freeze the run into a JSON-serialisable :class:`RunReport`.
 
@@ -664,26 +653,11 @@ class EngineResult:
 
 
 class Engine:
-    """The composable staged pipeline.
+    """The staged Theorem-1 pipeline over one :class:`RunContext`."""
 
-    The default stage set reproduces the Theorem-1 pipeline exactly;
-    callers may substitute stages (e.g. a custom embedder) as long as
-    they fill the same :class:`RunContext` fields.
-    """
-
-    def __init__(
-        self,
-        embed: Optional[EmbedStage] = None,
-        quantize: Optional[QuantizeStage] = None,
-        dp: Optional[DPStage] = None,
-        repair: Optional[RepairStage] = None,
-        refine: Optional[RefineStage] = None,
-    ):
-        self.embed = embed or EmbedStage()
-        self.quantize = quantize or QuantizeStage()
-        self.dp = dp or DPStage()
-        self.repair = repair or RepairStage()
-        self.refine = refine or RefineStage()
+    embed = EmbedStage()
+    quantize = QuantizeStage()
+    refine = RefineStage()
 
     def run(self, ctx: RunContext) -> EngineResult:
         """Execute embed → quantize → (dp + repair per member) → refine.
@@ -718,16 +692,11 @@ class Engine:
 
         outcomes, failures, _restarts = run_members(ctx, base)
 
-        # Fold the members' self-measured phase timings (worker-side for
-        # the pool path) into this run's span tree — this is the fix for
-        # the old parallel path reporting empty dp/repair sections.
         metrics = get_registry()
         process_label = bool(os.environ.get("REPRO_METRICS_PROCESS_LABEL"))
-        merged = Stopwatch()
         escalations = 0
         worker_merges = 0
         for outcome in outcomes:
-            merged.merge(outcome.timings)
             # Pool workers bracket their solve with registry snapshots
             # and ship the per-job delta home on the record; fold it in
             # (counters sum, gauges last-write, histograms bucket-wise)
@@ -753,11 +722,15 @@ class Engine:
                 "repro_metrics_worker_merges_total",
                 "Worker metric deltas merged into the parent registry",
             ).inc(worker_merges)
-        for name in (self.dp.name, self.repair.name):
-            tel.add_seconds(name, merged.total(name), merged.counts.get(name, 0))
+        # Fold the members' self-measured phase seconds (worker-side for
+        # the pool path) into this run's dp/repair spans.
+        records = [o.record for o in outcomes]
+        tel.add_seconds("dp", sum(r.dp_seconds for r in records), len(records))
+        tel.add_seconds(
+            "repair", sum(r.repair_seconds for r in records), len(records)
+        )
         for failure in failures:
             tel.record_failure(failure)
-        ctx.outcomes.extend(outcomes)
         # Parent-side metric fold: member counters travelled back with the
         # records, so these totals are accurate even for pool runs.
         if escalations:
@@ -812,9 +785,6 @@ def run_pipeline(
     *,
     telemetry: Optional[Telemetry] = None,
     path: str = "batch",
-    grid: Optional[DemandGrid] = None,
-    trees: Optional[List[DecompositionTree]] = None,
-    engine: Optional[Engine] = None,
     run_id: Optional[str] = None,
     logger: Optional[StructuredLogger] = None,
 ) -> EngineResult:
@@ -837,11 +807,6 @@ def run_pipeline(
     path:
         Root-span label for a fresh collector (``batch``, ``streaming``,
         ``portfolio``, ``kbgp``, ``guided``, …).
-    grid, trees:
-        Pre-built grid / ensemble to reuse (both are rebuilt from the
-        config when ``None``).
-    engine:
-        Stage set to run (``None`` = the default five stages).
     run_id:
         Correlation id for this run's logs/report (``None`` = fresh id).
     logger:
@@ -862,8 +827,6 @@ def run_pipeline(
         demands=d,
         config=config,
         telemetry=telemetry if telemetry is not None else Telemetry(path),
-        grid=grid,
-        trees=trees,
         run_id=run_id,
         logger=logger if logger is not None else NULL_LOGGER,
     )
@@ -881,7 +844,7 @@ def run_pipeline(
             # Span attr: which backend served this run (report meta gets
             # the same name via EngineResult.kernel_backend).
             ctx.telemetry.counter(f"kernel_backend_{kernel_backend.name}", 1)
-            result = (engine or Engine()).run(ctx)
+            result = Engine().run(ctx)
         result.kernel_backend = kernel_backend.name
         result.incremental = incremental_enabled(config)
     finally:

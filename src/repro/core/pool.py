@@ -16,7 +16,7 @@ moves the shared state out of the job tuples:
   config, grid, run id) — to a spool file **once**.  Pickle's internal
   memoisation dedups the graph referenced by every tree, so the file is
   roughly the size of one instance, not ``n_trees`` of them.
-* Job tuples shrink to ``(ref, member, index)``; :func:`member_job`
+* Job tuples shrink to ``(ref, member, index, attempt)``; :func:`member_job`
   loads the generation on the worker (memoised per ``gen_id``, so each
   worker unpickles a generation at most once) and runs
   :func:`repro.core.engine.solve_member` exactly as before.
@@ -353,7 +353,7 @@ def member_job(args: Tuple[GenerationRef, int, int, int]):
     """Pool worker entry point: solve one ensemble member.
 
     ``args`` is ``(generation ref, member position, telemetry index,
-    attempt)``; a legacy 3-tuple without the attempt is accepted too.
+    attempt)``.
     The shared inputs come from the generation payload, loaded at most
     once per worker per generation.  Both chaos sites (``spool`` before
     the payload load, ``member`` before the solve) are no-ops unless
@@ -361,10 +361,7 @@ def member_job(args: Tuple[GenerationRef, int, int, int]):
     """
     global _IN_WORKER
     _IN_WORKER = True
-    if len(args) == 3:
-        (ref, member, index), attempt = args, 1
-    else:
-        ref, member, index, attempt = args
+    ref, member, index, attempt = args
     _maybe_inject("spool", member=member, attempt=attempt, in_worker=True)
     payload = _load_generation(ref)
     _maybe_inject("member", member=member, attempt=attempt, in_worker=True)

@@ -22,7 +22,6 @@ from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.core.config import SolverConfig
 from repro.core.engine import EngineResult, run_pipeline
-from repro.core.solver import HGPResult
 from repro.core.telemetry import Telemetry
 
 __all__ = ["solve_hgp_portfolio", "seed_portfolio"]
@@ -43,7 +42,7 @@ def solve_hgp_portfolio(
     configs: Optional[Sequence[SolverConfig]] = None,
     n_seeds: int = 3,
     telemetry: Optional[Telemetry] = None,
-) -> HGPResult:
+) -> EngineResult:
     """Run several pipeline configurations; return the cheapest result.
 
     Parameters
@@ -61,7 +60,7 @@ def solve_hgp_portfolio(
 
     Returns
     -------
-    HGPResult
+    EngineResult
         The member result with the lowest true Eq. (1) cost; its
         placement's ``meta['portfolio_member']`` records which member
         won, and ``.telemetry`` covers the whole portfolio.
@@ -80,11 +79,5 @@ def solve_hgp_portfolio(
             best = result
             best_member = i
     assert best is not None
-    return HGPResult(
-        best.placement.with_meta(portfolio_member=best_member),
-        best.tree_costs,
-        best.dp_costs,
-        tel.to_stopwatch(),
-        best.grid,
-        telemetry=tel,
-    )
+    best.placement = best.placement.with_meta(portfolio_member=best_member)
+    return best

@@ -15,10 +15,11 @@ ensemble can only cost optimality, never correctness.  An optional final
 local-search pass (hierarchy-aware greedy moves) polishes the constant
 factors the worst-case analysis ignores.
 
-Since the staged-engine refactor the actual pipeline lives in
-:mod:`repro.core.engine`; these wrappers keep the original public
-signatures and results while every run now also carries structured
-telemetry (``HGPResult.telemetry`` / ``HGPResult.report()``).
+The pipeline itself lives in :mod:`repro.core.engine`; ``solve_hgp``
+picks the flat engine or the multilevel front-end and returns the
+engine's :class:`repro.core.engine.EngineResult`, whose span tree
+(``result.telemetry``) is the run's one timing model and whose
+:meth:`~repro.core.engine.EngineResult.report` freezes it to JSON.
 
 ``solve_hgpt`` exposes the tree-only solver for callers who already have
 a tree instance (the HGPT problem per se, Theorem 2).
@@ -37,77 +38,16 @@ from repro.decomposition.tree import DecompositionTree
 from repro.hgpt.dp import DPStats
 from repro.hgpt.quantize import DemandGrid
 from repro.core.config import SolverConfig
-from repro.core.engine import make_grid, run_pipeline, solve_member, validate_instance
-from repro.core.telemetry import RunReport, Telemetry
-from repro.utils.timing import Stopwatch
+from repro.core.engine import (
+    EngineResult,
+    make_grid,
+    run_pipeline,
+    solve_member,
+    validate_instance,
+)
+from repro.obs.logging import StructuredLogger
 
-__all__ = ["solve_hgp", "solve_hgpt", "HGPResult"]
-
-
-class HGPResult:
-    """Return value of :func:`solve_hgp`: the winning placement plus
-    per-tree diagnostics.
-
-    Attributes
-    ----------
-    placement:
-        The best placement found (lowest true Eq. (1) cost).
-    tree_costs:
-        Mapped cost achieved by each ensemble member.
-    dp_costs:
-        DP (tree-side, edge-cut) cost per member — always an upper bound
-        on the corresponding mapped cost (Proposition 1), asserted in
-        tests.
-    stopwatch:
-        Phase timings (``trees``, ``quantize``, ``dp``, ``repair``,
-        ``refine``) — a flat view of the telemetry span tree.
-    grid:
-        The demand grid used.
-    telemetry:
-        The structured collector for this run (``None`` only for results
-        constructed by legacy code that never went through the engine).
-    kernel_backend, incremental:
-        The engine's resolved-mode stamps, carried through so
-        :meth:`report` tags the run meta exactly as the engine's own
-        reports do.
-    """
-
-    def __init__(
-        self,
-        placement: Placement,
-        tree_costs: list[float],
-        dp_costs: list[float],
-        stopwatch: Stopwatch,
-        grid: DemandGrid,
-        telemetry: Optional[Telemetry] = None,
-        kernel_backend: Optional[str] = None,
-        incremental: Optional[bool] = None,
-    ):
-        self.placement = placement
-        self.tree_costs = tree_costs
-        self.dp_costs = dp_costs
-        self.stopwatch = stopwatch
-        self.grid = grid
-        self.telemetry = telemetry
-        self.kernel_backend = kernel_backend
-        self.incremental = incremental
-
-    @property
-    def cost(self) -> float:
-        """True Eq. (1) cost of the winning placement."""
-        return self.placement.cost()
-
-    def report(self, **meta: object) -> RunReport:
-        """Structured run report (requires engine-produced telemetry)."""
-        if self.telemetry is None:
-            raise ValueError("this result carries no telemetry")
-        if self.kernel_backend is not None:
-            meta.setdefault("kernel_backend", self.kernel_backend)
-        if self.incremental is not None:
-            meta.setdefault("incremental", self.incremental)
-        return self.telemetry.report(
-            config=self.placement.meta.get("config"), cost=self.cost, **meta
-        )
+__all__ = ["solve_hgp", "solve_hgpt"]
 
 
 def solve_hgpt(
@@ -138,7 +78,8 @@ def solve_hgp(
     hierarchy: Hierarchy,
     demands: Sequence[float],
     config: SolverConfig = SolverConfig(),
-) -> HGPResult:
+    logger: Optional[StructuredLogger] = None,
+) -> EngineResult:
     """Full bicriteria HGP solver (Theorem 1 pipeline).
 
     Parameters
@@ -151,10 +92,12 @@ def solve_hgp(
         Per-vertex demand in ``(0, leaf_capacity]``.
     config:
         Pipeline knobs (ensemble size, grid, beam, refinement).
+    logger:
+        Structured logger for run events (``None`` = silent).
 
     Returns
     -------
-    HGPResult
+    EngineResult
         Winning placement (guaranteed capacity violation at most
         ``(1 + ε)(1 + h)``) plus diagnostics and telemetry.
 
@@ -166,36 +109,16 @@ def solve_hgp(
 
     Notes
     -----
-    When ``config.multilevel.enabled`` is set the instance is routed
-    through the coarsen–solve–refine front-end
-    (:func:`repro.multilevel.solve_multilevel`): the engine runs on the
-    coarsest graph only, and the returned ``tree_costs`` / ``dp_costs`` /
-    ``grid`` describe that coarse solve while ``placement`` (and
-    ``cost``) are the fine-level result.
+    This is the one reader of ``config.multilevel.enabled``.  When it
+    is set the instance is routed through the coarsen–solve–refine
+    front-end and the :class:`repro.multilevel.MultilevelResult` (an
+    ``EngineResult``) is returned as is: its ``tree_costs`` /
+    ``dp_costs`` / ``grid`` describe the coarse solve while
+    ``placement`` (and ``cost``) are the fine-level result.
     """
     if config.multilevel.enabled:
         # Local import: repro.multilevel sits on top of the engine.
         from repro.multilevel import solve_multilevel
 
-        res = solve_multilevel(g, hierarchy, demands, config)
-        return HGPResult(
-            res.placement,
-            res.coarse.tree_costs,
-            res.coarse.dp_costs,
-            res.telemetry.to_stopwatch(),
-            res.coarse.grid,
-            telemetry=res.telemetry,
-            kernel_backend=res.coarse.kernel_backend,
-            incremental=res.coarse.incremental,
-        )
-    result = run_pipeline(g, hierarchy, demands, config, path="batch")
-    return HGPResult(
-        result.placement,
-        result.tree_costs,
-        result.dp_costs,
-        result.stopwatch(),
-        result.grid,
-        telemetry=result.telemetry,
-        kernel_backend=result.kernel_backend,
-        incremental=result.incremental,
-    )
+        return solve_multilevel(g, hierarchy, demands, config, logger=logger)
+    return run_pipeline(g, hierarchy, demands, config, path="batch", logger=logger)

@@ -13,9 +13,10 @@ through its stages.  It records three kinds of data:
   ensemble member: DP cost, mapped cost, per-phase seconds and the DP
   state counters that :class:`repro.hgpt.dp.DPStats` used to hold.
 
-Everything here is a plain picklable dataclass: process-pool workers
-return their span/record data with their results and the parent merges
-it, so parallel runs report the same phase breakdown as serial ones.
+Spans are the one timing model.  Everything here is a plain picklable
+dataclass: process-pool workers return their member records (with their
+``dp``/``repair`` seconds) and the parent folds those seconds into its
+spans, so parallel runs report the same phase breakdown as serial ones.
 A whole run serialises to a JSON *run report* (:class:`RunReport`) that
 the CLI (``repro solve --report out.json``) and the benchmark harness
 persist; reports round-trip losslessly through JSON.
@@ -29,8 +30,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
-
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "Span",
@@ -69,11 +68,11 @@ def mark_active(name: str) -> Iterator[None]:
     """Tag the calling thread as "inside ``name``" for the profiler only.
 
     A zero-cost sibling of :meth:`Telemetry.span` for code that times
-    itself some other way (``solve_member`` uses a Stopwatch so its
-    timings stay picklable): no Span node is created and nothing shows
-    up in reports, but stack samples taken while the block runs are
-    attributed to ``name``.  Works identically in pool workers, where
-    no Telemetry instance exists at all.
+    itself some other way (``solve_member`` writes its phase seconds to
+    a picklable :class:`MemberRecord`): no Span node is created and
+    nothing shows up in reports, but stack samples taken while the block
+    runs are attributed to ``name``.  Works identically in pool workers,
+    where no Telemetry instance exists at all.
     """
     ident = threading.get_ident()
     _ACTIVE_SPANS.setdefault(ident, []).append(name)
@@ -374,18 +373,6 @@ class Telemetry:
         hits = [self.root] if self.root.name == name else []
         hits.extend(self.root.find_all(name))
         return hits
-
-    def to_stopwatch(self) -> Stopwatch:
-        """Legacy :class:`Stopwatch` view: the root's direct children.
-
-        Keeps :attr:`repro.core.solver.HGPResult.stopwatch` working for
-        callers written against the pre-engine API.
-        """
-        sw = Stopwatch()
-        for c in self.root.children:
-            sw.totals[c.name] = sw.totals.get(c.name, 0.0) + c.seconds
-            sw.counts[c.name] = sw.counts.get(c.name, 0) + max(c.count, 1)
-        return sw
 
     def report(
         self,

@@ -127,38 +127,29 @@ def solve_hgp_iterated(
 
     Returns
     -------
-    HGPResult
+    EngineResult
         Result whose cost is ≤ the plain pipeline's (the incumbent always
         stays a candidate); ``placement.meta['guided_rounds']`` records
         how many rounds actually improved.
     """
     from repro.core.config import SolverConfig
     from repro.core.engine import run_pipeline, solve_member
-    from repro.core.solver import HGPResult
     from repro.core.telemetry import Telemetry
 
     cfg = config if config is not None else SolverConfig()
     tel = telemetry if telemetry is not None else Telemetry("guided")
     d = np.asarray(demands, dtype=np.float64)
-    base = run_pipeline(g, hierarchy, d, cfg, telemetry=tel)
-    result = HGPResult(
-        base.placement,
-        base.tree_costs,
-        base.dp_costs,
-        tel.to_stopwatch(),
-        base.grid,
-        telemetry=tel,
-    )
+    result = run_pipeline(g, hierarchy, d, cfg, telemetry=tel)
     improved_rounds = 0
     for r in range(rounds):
         with tel.span("trees"):
             guided = placement_guided_tree(result.placement, seed=(cfg.seed or 0) + r)
             guided.method = "guided"
         outcome = solve_member(
-            guided, hierarchy, d, cfg, base.grid, index=len(tel.members)
+            guided, hierarchy, d, cfg, result.grid, index=len(tel.members)
         )
-        tel.add_seconds("dp", outcome.timings.total("dp"))
-        tel.add_seconds("repair", outcome.timings.total("repair"))
+        tel.add_seconds("dp", outcome.record.dp_seconds)
+        tel.add_seconds("repair", outcome.record.repair_seconds)
         tel.record_member(outcome.record)
         placement = outcome.placement
         if cfg.refine and cfg.refine_passes > 0:
@@ -179,5 +170,4 @@ def solve_hgp_iterated(
             )
             improved_rounds += 1
     result.placement = result.placement.with_meta(guided_rounds=improved_rounds)
-    result.stopwatch = tel.to_stopwatch()
     return result

@@ -17,7 +17,22 @@ from repro.errors import InvalidInputError
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
 
-__all__ = ["Placement"]
+__all__ = ["Placement", "eq1_cost"]
+
+
+def eq1_cost(g: Graph, hierarchy: Hierarchy, leaf_of: np.ndarray) -> float:
+    """Eq. (1) communication cost ``Σ_e cm(LCA(p(u), p(v))) · w(e)`` of a
+    raw leaf labelling (no :class:`Placement` validation needed).
+
+    Fully vectorised: one LCA-level pass over the canonical edge arrays,
+    one fancy-indexed multiplier lookup, one dot product.  The one Eq. (1)
+    evaluator: :meth:`Placement.cost` and the multilevel refiner (which
+    scores intermediate coarse levels) both call it.
+    """
+    if g.m == 0:
+        return 0.0
+    mult = hierarchy.pair_cost_multiplier(leaf_of[g.edges_u], leaf_of[g.edges_v])
+    return float(np.dot(np.asarray(mult, dtype=np.float64), g.edges_w))
 
 
 @dataclass(frozen=True)
@@ -68,16 +83,8 @@ class Placement:
     # ------------------------------------------------------------------
 
     def cost(self) -> float:
-        """Eq. (1) communication cost: ``Σ_e cm(LCA(p(u), p(v))) · w(e)``.
-
-        Fully vectorised: one LCA-level pass over the canonical edge
-        arrays, one fancy-indexed multiplier lookup, one dot product.
-        """
-        g, hier = self.graph, self.hierarchy
-        if g.m == 0:
-            return 0.0
-        mult = hier.pair_cost_multiplier(self.leaf_of[g.edges_u], self.leaf_of[g.edges_v])
-        return float(np.dot(np.asarray(mult), g.edges_w))
+        """Eq. (1) communication cost (see :func:`eq1_cost`)."""
+        return eq1_cost(self.graph, self.hierarchy, self.leaf_of)
 
     def level_cut_costs(self) -> np.ndarray:
         """Cost decomposition by LCA level: entry ``j`` is the weight of

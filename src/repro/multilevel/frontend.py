@@ -24,7 +24,7 @@ per-level refinement spans (``level_0`` … adjacent to the engine tree).
 from __future__ import annotations
 
 import os
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -40,7 +40,7 @@ from repro.core.engine import (
     run_pipeline,
     validate_instance,
 )
-from repro.core.telemetry import MemberFailure, RunReport, Telemetry
+from repro.core.telemetry import RunReport, Telemetry
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.placement import Placement
@@ -51,59 +51,28 @@ from repro.obs.metrics import get_registry
 __all__ = ["MultilevelResult", "solve_multilevel"]
 
 
-class MultilevelResult:
-    """Return value of :func:`solve_multilevel`.
+@dataclass
+class MultilevelResult(EngineResult):
+    """Return value of :func:`solve_multilevel`: an :class:`EngineResult`
+    whose ``placement`` is the final fine-level placement (projected +
+    refined) and whose ``tree_costs`` / ``dp_costs`` / ``grid`` /
+    ``failures`` describe the coarse solve.
 
     Attributes
     ----------
-    placement:
-        The final fine-level placement (projected + refined).
     coarse:
         The :class:`repro.core.engine.EngineResult` of the coarsest
-        solve — cache hits, ensemble diagnostics and degradation status
-        live here.
+        solve (cache hits and ensemble diagnostics live here).
     levels:
         The coarsening hierarchy (graphs, demands, maps, stats).
     refine_stats:
         One :class:`repro.baselines.fm.HierarchyRefineStats` per
         uncoarsening level, coarsest-to-finest order.
-    telemetry:
-        The shared collector covering coarsening, the engine run and
-        refinement.
     """
 
-    def __init__(
-        self,
-        placement: Placement,
-        coarse: EngineResult,
-        levels: CoarseningHierarchy,
-        refine_stats: List[HierarchyRefineStats],
-        telemetry: Telemetry,
-        config: SolverConfig,
-        run_id: Optional[str] = None,
-    ):
-        self.placement = placement
-        self.coarse = coarse
-        self.levels = levels
-        self.refine_stats = refine_stats
-        self.telemetry = telemetry
-        self.config = config
-        self.run_id = run_id
-
-    @property
-    def cost(self) -> float:
-        """True Eq. (1) cost of the final placement."""
-        return self.placement.cost()
-
-    @property
-    def failures(self) -> List[MemberFailure]:
-        """Terminal member failures of the coarse solve."""
-        return self.coarse.failures
-
-    @property
-    def degraded(self) -> bool:
-        """Whether the coarse solve lost ensemble members."""
-        return self.coarse.degraded
+    coarse: Optional[EngineResult] = None
+    levels: Optional[CoarseningHierarchy] = None
+    refine_stats: List[HierarchyRefineStats] = field(default_factory=list)
 
     def stats_dict(self) -> dict:
         """JSON-ready multilevel summary (stamped into report meta)."""
@@ -116,16 +85,8 @@ class MultilevelResult:
 
     def report(self, **meta: object) -> RunReport:
         """Freeze the whole front-end run into one :class:`RunReport`."""
-        if self.run_id is not None:
-            meta.setdefault("run_id", self.run_id)
-        if self.coarse.kernel_backend is not None:
-            meta.setdefault("kernel_backend", self.coarse.kernel_backend)
-        if self.coarse.incremental is not None:
-            meta.setdefault("incremental", self.coarse.incremental)
         meta.setdefault("multilevel", self.stats_dict())
-        return self.telemetry.report(
-            config=self.config.describe(), cost=self.cost, **meta
-        )
+        return super().report(**meta)
 
 
 def solve_multilevel(
@@ -332,7 +293,19 @@ def solve_multilevel(
         # carry the profile (RunReport schema v3).
         tel.profile = profile_session.finish()
     result = MultilevelResult(
-        placement, coarse, levels, refine_stats, tel, config, run_id=run_id
+        placement=placement,
+        tree_costs=coarse.tree_costs,
+        dp_costs=coarse.dp_costs,
+        grid=coarse.grid,
+        telemetry=tel,
+        config=config,
+        run_id=run_id,
+        failures=coarse.failures,
+        kernel_backend=coarse.kernel_backend,
+        incremental=coarse.incremental,
+        coarse=coarse,
+        levels=levels,
+        refine_stats=refine_stats,
     )
     report_dir = os.environ.get("REPRO_RUN_REPORT_DIR")
     if report_dir:

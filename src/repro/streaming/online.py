@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -544,10 +544,6 @@ class OnlinePlacer:
 class ChurnResult:
     """What one churn replay produced.
 
-    Iterating yields ``(costs, migrations)`` so the pre-observability
-    two-value unpacking keeps working; new callers read the richer
-    fields directly.
-
     Attributes
     ----------
     costs:
@@ -566,10 +562,6 @@ class ChurnResult:
     migrations: int
     counters: OnlineCounters = field(default_factory=OnlineCounters)
     reopt_migrations: List[int] = field(default_factory=list)
-
-    def __iter__(self) -> Iterator[object]:
-        yield self.costs
-        yield self.migrations
 
 
 def simulate_churn(
@@ -599,8 +591,7 @@ def simulate_churn(
     Returns
     -------
     ChurnResult
-        Cost trajectory, migrations and the placer's event counters
-        (unpacks as ``(costs, migrations)`` for legacy callers).
+        Cost trajectory, migrations and the placer's event counters.
     """
     placer = OnlinePlacer(hierarchy, config=config, max_violation=max_violation)
     costs: List[float] = []

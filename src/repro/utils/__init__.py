@@ -1,11 +1,12 @@
-"""Shared utilities: seeded randomness, validation helpers, timing.
+"""Shared utilities: seeded randomness and validation helpers.
+
+Timing lives in the telemetry span tree (:mod:`repro.core.telemetry`).
 
 These are deliberately dependency-light; every other subpackage may import
 from here, but :mod:`repro.utils` imports nothing else from :mod:`repro`.
 """
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     check_in_range,
     check_nonnegative,
@@ -16,8 +17,6 @@ from repro.utils.validation import (
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "Stopwatch",
-    "timed",
     "check_in_range",
     "check_nonnegative",
     "check_positive",

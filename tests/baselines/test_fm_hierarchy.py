@@ -25,12 +25,24 @@ def block_labels(g, hier):
 
 class TestEq1Cost:
     def test_matches_placement_cost(self, instance):
-        g, hier, d = instance
+        """Both Eq. (1) entry points equal a plain per-edge oracle sum of
+        ``cm[lca_level(p(u), p(v))] * w`` on seeded random labellings."""
         from repro.hierarchy.placement import Placement
 
-        leaf = block_labels(g, hier)
-        p = Placement(g, hier, d, leaf, meta={})
-        assert eq1_cost(g, hier, leaf) == pytest.approx(p.cost())
+        g, hier, d = instance
+        deep = Hierarchy([2, 2, 2], [7.0, 4.0, 1.5, 0.5], leaf_capacity=30.0)
+        rng = ensure_rng(11)
+        for h in (hier, deep):
+            for _ in range(5):
+                leaf = rng.integers(0, h.k, size=g.n)
+                oracle = sum(
+                    h.cm[h.lca_level(int(leaf[u]), int(leaf[v]))] * float(w)
+                    for u, v, w in zip(g.edges_u, g.edges_v, g.edges_w)
+                )
+                assert eq1_cost(g, h, leaf) == pytest.approx(oracle, rel=1e-12)
+                assert Placement(g, h, d, leaf).cost() == pytest.approx(
+                    oracle, rel=1e-12
+                )
 
     def test_empty_graph(self):
         hier = Hierarchy([2], [1.0, 0.0])

@@ -56,5 +56,7 @@ class TestWorkerDeterminism:
 
     def test_parallel_phase_timings_not_dropped(self, results):
         _serial, parallel = results
-        assert parallel.stopwatch.total("dp") > 0.0
-        assert parallel.stopwatch.total("repair") > 0.0
+        root = parallel.telemetry.root
+        assert root.lookup("dp").seconds > 0.0
+        assert root.lookup("repair").seconds > 0.0
+        assert all(m.dp_seconds > 0.0 for m in parallel.telemetry.members)

@@ -87,17 +87,6 @@ class TestSpans:
             pass
         assert len(tel.find_spans("dp")) == 2
 
-    def test_to_stopwatch_flat_view(self):
-        tel = Telemetry("run")
-        tel.add_seconds("dp", 1.0, count=4)
-        with tel.span("trees"):
-            pass
-        sw = tel.to_stopwatch()
-        assert sw.total("dp") == pytest.approx(1.0)
-        assert sw.counts["dp"] == 4
-        assert sw.counts["trees"] == 1
-        assert sw.total("missing") == 0.0
-
 
 class TestSerialization:
     def test_span_round_trip(self):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Graph, Hierarchy, SolverConfig, solve_hgp
-from repro.core.engine import check_instance, validate_instance
+from repro.core.engine import validate_instance
 from repro.errors import InfeasibleError, InvalidInputError
 
 
@@ -105,8 +105,3 @@ class TestDegenerateGraphs:
             validate_instance(g, _hier(), np.ones(3 + extra))
         with pytest.raises(InvalidInputError):
             validate_instance(g, _hier(), np.ones((3, 1)))
-
-
-class TestAlias:
-    def test_check_instance_is_validate_instance(self):
-        assert check_instance is validate_instance

@@ -5,9 +5,8 @@ import doctest
 import pytest
 
 import repro.bench.tables
-import repro.utils.timing
 
-MODULES = [repro.bench.tables, repro.utils.timing]
+MODULES = [repro.bench.tables]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

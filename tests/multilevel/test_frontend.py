@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import MultilevelConfig, SolverConfig
+from repro.core.engine import EngineResult
 from repro.core.solver import solve_hgp
 from repro.core.telemetry import RunReport
 from repro.errors import InvalidInputError
 from repro.graph.generators import grid_2d, random_demands
 from repro.hierarchy.hierarchy import Hierarchy
-from repro.multilevel import solve_multilevel
+from repro.multilevel import MultilevelResult, solve_multilevel
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +95,16 @@ class TestSolveMultilevel:
         assert np.array_equal(res.placement.leaf_of, direct.placement.leaf_of)
         # tree_costs/dp_costs describe the coarse solve's ensemble.
         assert len(res.dp_costs) == 4
+        # solve_hgp returns the front-end's result itself: one EngineResult
+        # whose report carries both the engine stamps and the multilevel
+        # summary.
+        assert isinstance(res, MultilevelResult)
+        assert isinstance(res, EngineResult)
+        assert res.grid is res.coarse.grid
+        meta = res.report().meta
+        assert meta["run_id"] == res.run_id
+        assert meta["kernel_backend"] == res.coarse.kernel_backend
+        assert meta["multilevel"]["coarse_cost"] == res.coarse.cost
 
     def test_report_dir_writes_frontend_report(
         self, instance, tmp_path, monkeypatch

@@ -135,6 +135,8 @@ class TestDegradation:
                 min_members=4,
             ),
         )
+        assert result.degraded
+        assert len(result.failures) == 1
         report = result.report()
         assert report.degraded
         assert len(report.members) == 7  # exactly one member lost

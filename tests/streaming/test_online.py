@@ -169,18 +169,18 @@ class TestSimulateChurn:
     def test_policies_ordered(self, hier_2x4):
         events = clustered_trace(per_cluster=6)
         cfg = SolverConfig(n_trees=2, refine=False, seed=0)
-        never, m0 = simulate_churn(hier_2x4, events, reopt_period=0, config=cfg)
-        always, m2 = simulate_churn(
+        never = simulate_churn(hier_2x4, events, reopt_period=0, config=cfg)
+        always = simulate_churn(
             hier_2x4, events, reopt_period=8, migration_budget=None, config=cfg
         )
-        assert m0 == 0
-        assert m2 > 0
-        assert np.mean(always) <= np.mean(never) + 1e-9
+        assert never.migrations == 0
+        assert always.migrations > 0
+        assert np.mean(always.costs) <= np.mean(never.costs) + 1e-9
 
     def test_cost_series_length(self, hier_2x4):
         events = clustered_trace(per_cluster=2)
-        costs, _ = simulate_churn(hier_2x4, events, config=SolverConfig(n_trees=2))
-        assert len(costs) == len(events)
+        result = simulate_churn(hier_2x4, events, config=SolverConfig(n_trees=2))
+        assert len(result.costs) == len(events)
 
     def test_bad_event_kind(self, hier_2x4):
         with pytest.raises(InvalidInputError):
@@ -201,15 +201,6 @@ class TestSimulateChurn:
         assert result.counters.reopt_calls == len(result.reopt_migrations)
         assert result.migrations == sum(result.reopt_migrations)
         assert result.migrations == result.counters.migrations
-
-    def test_legacy_tuple_unpacking(self, hier_2x4):
-        """Pre-observability callers unpack (costs, migrations)."""
-        events = clustered_trace(per_cluster=2)
-        costs, migrations = simulate_churn(
-            hier_2x4, events, config=SolverConfig(n_trees=2)
-        )
-        assert len(costs) == len(events)
-        assert migrations == 0
 
 
 class TestSnapshotCache:

@@ -1,12 +1,9 @@
-"""Tests for RNG plumbing, validation helpers and timing."""
-
-import time
+"""Tests for RNG plumbing and validation helpers."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     check_all_finite,
     check_in_range,
@@ -73,45 +70,3 @@ class TestValidation:
         check_all_finite("v", [1.0, 2.0])
         with pytest.raises(ValueError):
             check_all_finite("v", [1.0, float("nan")])
-
-
-class TestTiming:
-    def test_stopwatch_accumulates(self):
-        sw = Stopwatch()
-        with sw.section("a"):
-            pass
-        with sw.section("a"):
-            pass
-        assert sw.counts["a"] == 2
-        assert sw.total("a") >= 0.0
-        assert sw.total("missing") == 0.0
-
-    def test_merge_accumulates_sections(self):
-        a = Stopwatch(totals={"dp": 1.0, "repair": 0.5}, counts={"dp": 2, "repair": 1})
-        b = Stopwatch(totals={"dp": 0.25, "trees": 2.0}, counts={"dp": 1, "trees": 3})
-        out = a.merge(b)
-        assert out is a
-        assert a.total("dp") == pytest.approx(1.25)
-        assert a.counts["dp"] == 3
-        assert a.total("repair") == pytest.approx(0.5)
-        assert a.total("trees") == pytest.approx(2.0)
-        assert a.counts["trees"] == 3
-        # merge must not mutate the source
-        assert b.total("dp") == pytest.approx(0.25)
-
-    def test_merge_empty_is_noop(self):
-        a = Stopwatch(totals={"dp": 1.0}, counts={"dp": 1})
-        a.merge(Stopwatch())
-        assert a.total("dp") == pytest.approx(1.0)
-        assert a.counts["dp"] == 1
-
-    def test_summary_mentions_sections(self):
-        sw = Stopwatch()
-        with sw.section("phase_x"):
-            time.sleep(0.001)
-        assert "phase_x" in sw.summary()
-
-    def test_timed(self):
-        with timed() as t:
-            time.sleep(0.001)
-        assert t[0] >= 0.001
