@@ -1,4 +1,4 @@
-"""E21 — pluggable kernel backends: python reference vs numba JIT.
+"""E21 — kernel backends: python reference vs numba JIT.
 
 The kernel seam (``src/repro/kernels``) promises two things: the numba
 backend is *fast* (the point of the seam) and *bit-identical* (the
@@ -10,8 +10,9 @@ both on the six-kernel ABI:
   one-off JIT compile because later repeats dominate the minimum).
   Outputs are compared with exact equality — any drift fails the run.
 * **End-to-end** — the E18 ``h=3`` deep-hierarchy DP solved under each
-  backend via :func:`repro.kernels.use_backend`; solutions (costs *and*
-  level sets) must be verbatim identical.
+  backend, with the six ``repro.kernels`` attributes rebound to that
+  backend's functions; solutions (costs *and* level sets) must be
+  verbatim identical.
 
 The machine-readable companion (``BENCH_E21_kernels.json``) keeps its
 ``points`` backend-independent (python-backend timings + deterministic
@@ -26,11 +27,12 @@ reference timings and checksums.
 
 from __future__ import annotations
 
-import importlib.util
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
+import repro.kernels as kernels
 from repro import Hierarchy
 from repro.bench import Table, save_result, save_result_json
 from repro.core.telemetry import MemberRecord, Telemetry
@@ -43,12 +45,14 @@ from repro.graph.generators import (
 from repro.hgpt.binarize import binarize
 from repro.hgpt.dp import DPStats, solve_rhgpt
 from repro.hgpt.quantize import DemandGrid
-from repro.kernels import resolve_backend, use_backend
+from repro.kernels import KERNEL_NAMES, numba_backend, python_backend
 from repro.obs.exporter import maybe_start_from_env
 
 SEED = 21
 
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+#: Whether numba imports; an installed numba that fails to import counts
+#: as absent, and the kernels CI job's ``numba_available=1`` floor fails.
+HAVE_NUMBA = numba_backend.NUMBA_AVAILABLE
 
 #: The E18 h=3 point — the deep-hierarchy regime the seam targets.
 E2E_HIER = Hierarchy([2, 2, 2], [8.0, 4.0, 1.0, 0.0])
@@ -147,6 +151,20 @@ def _hem_instance():
     return g.n, g.indptr, g.indices, g.adj_weights, tie, fits, 8
 
 
+@contextmanager
+def _kernels_from(backend):
+    """Rebind the six ``repro.kernels`` attributes to ``backend``'s
+    functions, so the solver runs on them; restored on exit."""
+    saved = {name: getattr(kernels, name) for name in KERNEL_NAMES}
+    for name in KERNEL_NAMES:
+        setattr(kernels, name, getattr(backend, name))
+    try:
+        yield
+    finally:
+        for name, fn in saved.items():
+            setattr(kernels, name, fn)
+
+
 def _time_best(fn, repeat=3):
     best, out = float("inf"), None
     for _ in range(repeat):
@@ -203,10 +221,9 @@ def _experiment():
 
 
 def _experiment_body():
-    backends = {"python": resolve_backend("python")}
+    backends = {"python": python_backend}
     if HAVE_NUMBA:
-        backends["numba"] = resolve_backend("numba")
-        assert backends["numba"].name == "numba"
+        backends["numba"] = numba_backend
 
     table = Table(
         ["kernel", "n", "python_s", "numba_s", "speedup"],
@@ -294,7 +311,7 @@ def _experiment_body():
     n, bt, caps, deltas = _e2e_instance()
 
     def solve_under(name):
-        with use_backend(name):
+        with _kernels_from(backends[name]):
             stats = DPStats()
             t0 = _pc()
             sol = solve_rhgpt(bt, caps, deltas, stats=stats)

@@ -246,14 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(with --profile; adds overhead)",
     )
     solve.add_argument(
-        "--kernel-backend",
-        choices=("auto", "python", "numba"),
-        default="auto",
-        help="hot-path kernel backend: 'auto' (default) uses the numba "
-        "JIT backend when importable and falls back to the bit-identical "
-        "pure-python reference (hgp methods only)",
-    )
-    solve.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -502,7 +494,6 @@ def _run_solve(args: argparse.Namespace) -> int:
             get_cache().enabled = False
         from repro.core.resilience import ResilienceConfig, RetryPolicy
         from repro.core.config import IncrementalConfig, MultilevelConfig
-        from repro.kernels import KernelConfig
         from repro.obs.profile import ProfileConfig
 
         cfg = SolverConfig(
@@ -530,7 +521,6 @@ def _run_solve(args: argparse.Namespace) -> int:
                 memory=args.profile_mem,
                 path=args.profile,
             ),
-            kernel=KernelConfig(backend=args.kernel_backend),
             incremental=IncrementalConfig(enabled=not args.no_incremental),
         )
         result = solve_hgp(g, hier, d, cfg, logger=logger)

@@ -14,7 +14,6 @@ from repro.cache import CacheConfig
 from repro.core.resilience import ResilienceConfig
 from repro.errors import InvalidInputError
 from repro.hgpt.dp import DPConfig
-from repro.kernels import KernelConfig
 from repro.obs.profile import ProfileConfig
 
 __all__ = ["IncrementalConfig", "MultilevelConfig", "SolverConfig"]
@@ -117,6 +116,10 @@ class MultilevelConfig:
 class SolverConfig:
     """Parameters of :func:`repro.core.solver.solve_hgp`.
 
+    The hot-path kernel backend is not among them: :mod:`repro.kernels`
+    binds numba's kernels when numba imports, else the pure-python
+    reference, and both return bit-identical results.
+
     Attributes
     ----------
     n_trees:
@@ -177,13 +180,6 @@ class SolverConfig:
         sampling flight-recorder + per-stage resource monitor and the
         run report (schema v3) carries the ``profile`` payload.  Off by
         default — zero overhead for unprofiled solves.
-    kernel:
-        Hot-path kernel backend selection
-        (:class:`repro.kernels.KernelConfig`): ``"auto"`` (default)
-        prefers the numba JIT backend when importable and falls back to
-        the pure-python reference, which returns bit-identical results.
-        The resolved backend is stamped into the run report as
-        ``kernel_backend``.
     incremental:
         Incremental warm-path knobs (:class:`IncrementalConfig`):
         whether DP solves memoise per-subtree state tables in the
@@ -210,7 +206,6 @@ class SolverConfig:
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     multilevel: MultilevelConfig = field(default_factory=MultilevelConfig)
     profile: ProfileConfig = field(default_factory=ProfileConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
     incremental: IncrementalConfig = field(default_factory=IncrementalConfig)
 
     def __post_init__(self) -> None:

@@ -103,9 +103,8 @@ def incremental_enabled(config: SolverConfig) -> bool:
 
     ``REPRO_INCREMENTAL`` overrides ``config.incremental.enabled`` in
     either direction (``0``/``false``/``off`` disable, anything else
-    enables), mirroring ``REPRO_KERNEL_BACKEND``'s precedence.  The memo
-    additionally requires the solver cache itself to be on — the
-    ``subtree_tables`` tier lives inside it.
+    enables).  The memo additionally requires the solver cache itself to
+    be on — the ``subtree_tables`` tier lives inside it.
     """
     inc = getattr(config, "incremental", None)
     enabled = bool(inc.enabled) if inc is not None else False
@@ -511,24 +510,20 @@ def solve_member(
     placements and costs.
     """
     own_stats = DPStats()
-    kcfg = getattr(config, "kernel", None)
     # mark_active gives the sampling profiler span attribution for these
-    # phases; the seconds travel home on the (picklable) record.  The
-    # kernel scope makes pool workers (which see only this function)
-    # dispatch on the run's configured backend.
-    with kernels.use_backend(kcfg.backend if kcfg is not None else "auto"):
-        with mark_active("dp"):
-            t0 = time.perf_counter()
-            solution, escalations = _DP_STAGE.run_member(
-                tree, hierarchy, demands, config, grid, stats=own_stats
-            )
-            t1 = time.perf_counter()
-        with mark_active("repair"):
-            placement = _REPAIR_STAGE.run_member(
-                tree, hierarchy, demands, solution, grid
-            )
-            mapped = placement.cost()
-            t2 = time.perf_counter()
+    # phases; the seconds travel home on the (picklable) record.
+    with mark_active("dp"):
+        t0 = time.perf_counter()
+        solution, escalations = _DP_STAGE.run_member(
+            tree, hierarchy, demands, config, grid, stats=own_stats
+        )
+        t1 = time.perf_counter()
+    with mark_active("repair"):
+        placement = _REPAIR_STAGE.run_member(
+            tree, hierarchy, demands, solution, grid
+        )
+        mapped = placement.cost()
+        t2 = time.perf_counter()
     if stats is not None:
         stats.update(own_stats)
     record = MemberRecord(
@@ -608,8 +603,8 @@ class EngineResult:
         Non-empty (and ``degraded`` True) only when the resilience
         policy allowed the run to complete on a partial ensemble; see
         :mod:`repro.core.resilience`.
-    kernel_backend, incremental:
-        Resolved-mode stamps that :meth:`report` copies into its meta.
+    incremental:
+        Resolved-mode stamp that :meth:`report` copies into its meta.
     """
 
     placement: Placement
@@ -620,7 +615,6 @@ class EngineResult:
     config: SolverConfig
     run_id: Optional[str] = None
     failures: List[MemberFailure] = field(default_factory=list)
-    kernel_backend: Optional[str] = None
     incremental: Optional[bool] = None
 
     @property
@@ -638,13 +632,12 @@ class EngineResult:
 
         The run's correlation id is stamped into ``meta["run_id"]`` so
         reports, traces and JSON-lines logs cross-reference, and the
-        resolved kernel backend into ``meta["kernel_backend"]``
-        (schema-compatible additive field).
+        kernel backend bound at import (:data:`repro.kernels.BACKEND`)
+        into ``meta["kernel_backend"]``.
         """
         if self.run_id is not None:
             meta.setdefault("run_id", self.run_id)
-        if self.kernel_backend is not None:
-            meta.setdefault("kernel_backend", self.kernel_backend)
+        meta.setdefault("kernel_backend", kernels.BACKEND)
         if self.incremental is not None:
             meta.setdefault("incremental", self.incremental)
         return self.telemetry.report(
@@ -836,16 +829,8 @@ def run_pipeline(
         from repro.obs.profile import ProfileSession
 
         session = ProfileSession(prof_cfg, ctx.telemetry).start()
-    kcfg = getattr(config, "kernel", None)
     try:
-        with kernels.use_backend(
-            kcfg.backend if kcfg is not None else "auto"
-        ) as kernel_backend:
-            # Span attr: which backend served this run (report meta gets
-            # the same name via EngineResult.kernel_backend).
-            ctx.telemetry.counter(f"kernel_backend_{kernel_backend.name}", 1)
-            result = Engine().run(ctx)
-        result.kernel_backend = kernel_backend.name
+        result = Engine().run(ctx)
         result.incremental = incremental_enabled(config)
     finally:
         if session is not None:

@@ -150,17 +150,14 @@ class DinicMaxFlow:
         t0 = time.perf_counter()
         heads, caps = self.heads, self.caps
         arc_indptr, arc_ids = self.arc_indptr, self.arc_ids
-        backend = kernels.get_backend()
         s, t = int(s), int(t)
         total = 0.0
         while True:
-            level = kernels.dinic_bfs_levels(
-                heads, caps, arc_indptr, arc_ids, s, backend=backend
-            )
+            level = kernels.dinic_bfs_levels(heads, caps, arc_indptr, arc_ids, s)
             if level[t] < 0:
                 break
             total += kernels.dinic_blocking_flow(
-                heads, caps, arc_indptr, arc_ids, level, s, t, backend=backend
+                heads, caps, arc_indptr, arc_ids, level, s, t
             )
         calls, seconds = _metric_handles()
         calls.inc()

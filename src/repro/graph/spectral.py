@@ -138,11 +138,8 @@ def _solve_fiedler(
     # seam over the raw CSR arrays (the python backend reproduces
     # ``lap @ x`` exactly, so cached Fiedler digests are unaffected).
     lap_indptr, lap_indices, lap_data = lap.indptr, lap.indices, lap.data
-    backend = kernels.get_backend()
     for _ in range(max_iter):
-        y = shift * x - kernels.csr_matvec(
-            lap_indptr, lap_indices, lap_data, x, backend=backend
-        )
+        y = shift * x - kernels.csr_matvec(lap_indptr, lap_indices, lap_data, x)
         y -= kernel * (kernel @ y)
         nrm = np.linalg.norm(y)
         if nrm < 1e-14:

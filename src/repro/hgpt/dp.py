@@ -893,21 +893,18 @@ def solve_subtree_tables(payload: Dict[str, object], root: int) -> dict:
     stats = DPStats()
     tables: List[Optional[_Table]] = [None] * bt.n_nodes
     nodes = bt.subtree_postorder(root)
-    # Workers inherit the parent's resolved kernel backend by name so
-    # farmed subtrees dispatch exactly like the spine.
-    with kernels.use_backend(str(payload.get("kernel_backend", "auto"))):
-        _solve_tables(
-            bt,
-            caps_arr,
-            deltas_arr,
-            payload["beam_width"],  # type: ignore[arg-type]
-            cfg,
-            stats,
-            nodes,
-            tables,
-            incumbent=float(payload["incumbent"]),  # type: ignore[arg-type]
-            outside_lb=payload["outside_lb"],  # type: ignore[arg-type]
-        )
+    _solve_tables(
+        bt,
+        caps_arr,
+        deltas_arr,
+        payload["beam_width"],  # type: ignore[arg-type]
+        cfg,
+        stats,
+        nodes,
+        tables,
+        incumbent=float(payload["incumbent"]),  # type: ignore[arg-type]
+        outside_lb=payload["outside_lb"],  # type: ignore[arg-type]
+    )
     return {
         "root": root,
         "tables": {
@@ -956,7 +953,6 @@ def _solve_parallel(
             "cfg": cfg,
             "incumbent": incumbent,
             "outside_lb": outside_lb,
-            "kernel_backend": kernels.get_backend().name,
         }
     )
     try:

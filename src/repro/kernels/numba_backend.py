@@ -3,12 +3,13 @@
 ``@njit(cache=True)`` ports of the python reference kernels, written to
 preserve floating-point accumulation order exactly (no ``fastmath``, no
 reassociation) so outputs stay bit-identical to the python backend —
-the registry contract, enforced by ``tests/kernels/test_backends.py``.
+the kernel contract, enforced by ``tests/kernels/test_backends.py``.
 
-Soft-gated: importing this module never raises.  When numba is not
-installed ``NUMBA_AVAILABLE`` is ``False``, the decorators degrade to
-no-ops, and the registry factory declines to build the backend (the
-resolver then falls back to python with a one-time log line).
+Soft-gated: importing this module never raises.  When numba does not
+import, ``NUMBA_AVAILABLE`` is ``False``, the decorators degrade to
+no-ops (the functions stay callable as plain Python, which is how the
+equivalence suite checks them without numba), and :mod:`repro.kernels`
+binds the python backend instead.
 """
 
 from __future__ import annotations

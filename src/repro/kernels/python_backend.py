@@ -40,7 +40,14 @@ def dinic_bfs_levels(
     arc_ids: np.ndarray,
     s: int,
 ) -> np.ndarray:
-    """Level-graph BFS from ``s`` over arcs with residual capacity."""
+    """Level-graph BFS from ``s`` over arcs with residual capacity.
+
+    The network is paired-arc (arc ``a ^ 1`` reverses ``a``): vertex
+    ``v``'s arcs are ``arc_ids[arc_indptr[v]:arc_indptr[v + 1]]``, arc
+    ``a`` ends at ``heads[a]`` with residual capacity ``caps[a]``.
+    Mutates nothing; returns each vertex's BFS level (``-1`` =
+    unreachable).
+    """
     n = arc_indptr.shape[0] - 1
     level = np.full(n, -1, dtype=np.int64)
     level[s] = 0
@@ -66,7 +73,11 @@ def dinic_blocking_flow(
     s: int,
     t: int,
 ) -> float:
-    """One blocking-flow phase; mutates ``caps`` and ``level`` in place."""
+    """One Dinic phase: saturate the level graph, return the flow pushed.
+
+    Mutates ``caps`` (residual capacities) and ``level`` (dead ends are
+    marked ``-1``) in place.
+    """
     n = arc_indptr.shape[0] - 1
     it = [0] * n
     total = 0.0
@@ -138,7 +149,14 @@ def dp_tile_merge(
     stop: int,
     budget: float,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-    """One tile of the cross-product merge (see the dispatch docstring)."""
+    """One DP merge tile over cross-product ranks ``[start, stop)``.
+
+    Rank ``r`` pairs state ``r // nb`` of side A with state ``r % nb``
+    of side B.  Mutates nothing; returns ``(sums, costs, ii, jj, rank,
+    n_ok)`` — the capacity-feasible pairs (in ascending rank order) and
+    the count of pairs that survived the ``budget`` mask (feasible or
+    not), for the caller's pruning stats.
+    """
     nb = pb_cost.size
     idx = np.arange(start, stop, dtype=np.int64)
     ii = idx // nb
@@ -176,8 +194,12 @@ def dp_dominance_prune(
     order: np.ndarray,
     beam_width: int,
 ) -> Tuple[np.ndarray, bool]:
-    """Dominance scan over ``order``-sorted states (``beam_width < 0`` =
-    no beam).  Returns kept row indices (scan order) and the beam flag.
+    """Dominance scan over states pre-sorted by ``order``.
+
+    ``beam_width < 0`` disables the beam.  Mutates nothing; returns
+    ``(kept, truncated)`` — surviving row indices in scan order, and
+    whether the beam fired (the caller re-inserts the most-closed
+    state).
 
     A state survives unless a previously kept signature is ≤ it
     componentwise.  Because survivors are scanned cheapest-first, the
@@ -283,8 +305,11 @@ _MATVEC_CACHE: List[tuple] = []
 def csr_matvec(
     indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """``A @ x`` via scipy's CSR kernel — arithmetic (and accumulation
-    order) identical to the pre-seam ``lap @ x``."""
+    """``y = A @ x`` for the CSR matrix ``(data, indices, indptr)``.
+
+    Mutates nothing.  Uses scipy's CSR kernel, so the arithmetic (and
+    accumulation order) is that of ``lap @ x``.
+    """
     key = (id(indptr), id(indices), id(data))
     if _MATVEC_CACHE and _MATVEC_CACHE[0][0] == key:
         mat = _MATVEC_CACHE[0][4]
@@ -313,7 +338,13 @@ def heavy_edge_match(
     fits: np.ndarray,
     rounds: int,
 ) -> np.ndarray:
-    """Proposal rounds over CSR adjacency (see the dispatch docstring)."""
+    """Proposal-round heavy-edge matching over CSR adjacency.
+
+    ``tie`` is the per-vertex random priority breaking weight ties (then
+    the earlier CSR entry wins), ``fits`` the 0/1 per-CSR-entry
+    eligibility mask (weight caps).  Mutates nothing; returns
+    ``match[v]`` = partner or ``-1``.
+    """
     n = indptr.shape[0] - 1
     match = np.full(n, -1, dtype=np.int64)
     # Live entries, owner-grouped in CSR order.  Entries touching a matched

@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-import repro.kernels as kernels
 from repro.baselines.fm import HierarchyRefineStats, fm_refine_hierarchy
 from repro.cache import resolve_cache, seed_token
 from repro.core.config import MultilevelConfig, SolverConfig
@@ -143,9 +142,6 @@ def solve_multilevel(
 
         profile_session = ProfileSession(prof_cfg, tel).start()
 
-    # Coarsening runs the heavy_edge_match kernel, so it honours the
-    # configured backend; the embedded run_pipeline scopes itself.
-    #
     # Incremental runs add a content-addressed ``coarsening`` cache tier:
     # the full level stack is keyed by graph digest + demands + every
     # coarsening knob, so a reoptimize on an unchanged graph (or one
@@ -155,7 +151,6 @@ def solve_multilevel(
     # reloads every coarse subtree the delta left clean.  Cached level
     # stacks are immutable build outputs, so warm and cold runs project
     # identical placements.
-    kcfg = getattr(config, "kernel", None)
     coarsen_cache = None
     coarsen_parts = None
     if incremental_enabled(config):
@@ -172,9 +167,7 @@ def solve_multilevel(
                 float(ml.stall_ratio),
                 int(ml.match_rounds),
             )
-    with tel.span("coarsen"), kernels.use_backend(
-        kcfg.backend if kcfg is not None else "auto"
-    ):
+    with tel.span("coarsen"):
         levels = None
         if coarsen_cache is not None:
             hit, levels = coarsen_cache.lookup("coarsening", coarsen_parts)
@@ -301,7 +294,6 @@ def solve_multilevel(
         config=config,
         run_id=run_id,
         failures=coarse.failures,
-        kernel_backend=coarse.kernel_backend,
         incremental=coarse.incremental,
         coarse=coarse,
         levels=levels,

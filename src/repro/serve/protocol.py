@@ -51,8 +51,8 @@ __all__ = [
 
 #: ``SolverConfig`` fields a request's ``config`` block may override.
 #: A whitelist, not ``replace(**anything)``: server-side resources
-#: (``n_jobs``, cache sizing, kernel backend) stay under the operator's
-#: control no matter what a tenant sends.
+#: (``n_jobs``, cache sizing) stay under the operator's control no
+#: matter what a tenant sends.
 CONFIG_OVERRIDES = (
     "seed",
     "n_trees",

@@ -4,6 +4,7 @@ same structured telemetry (stage spans + per-tree member records)."""
 import numpy as np
 import pytest
 
+import repro.kernels as kernels
 from repro import SolverConfig, solve_hgp
 from repro.core.engine import STAGE_NAMES, EngineResult, run_pipeline, solve_member
 from repro.core.kbgp import solve_kbgp
@@ -19,10 +20,10 @@ def assert_meta_stamps(res):
     """Every solve entry point's report carries the same resolved-mode
     stamps, read from the one :class:`EngineResult.report`."""
     assert isinstance(res, EngineResult)
-    assert None not in (res.run_id, res.kernel_backend, res.incremental)
+    assert None not in (res.run_id, res.incremental)
     meta = res.report().meta
     assert meta["run_id"] == res.run_id
-    assert meta["kernel_backend"] == res.kernel_backend
+    assert meta["kernel_backend"] == kernels.BACKEND
     assert meta["incremental"] == res.incremental
 
 

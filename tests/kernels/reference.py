@@ -20,7 +20,8 @@ def heavy_edge_match(
     fits: np.ndarray,
     rounds: int,
 ) -> np.ndarray:
-    """Proposal rounds over CSR adjacency (see the dispatch docstring)."""
+    """Proposal rounds over CSR adjacency (contract on
+    :func:`repro.kernels.python_backend.heavy_edge_match`)."""
     n = indptr.shape[0] - 1
     match = np.full(n, -1, dtype=np.int64)
     deg = np.diff(indptr)

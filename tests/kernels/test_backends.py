@@ -1,19 +1,20 @@
-"""Backend registry behaviour + cross-backend kernel equivalence.
+"""Import-time backend selection + cross-backend kernel equivalence.
 
-The seam's contract (``src/repro/kernels``) is that every backend
-returns — and mutates — *bit-identical* arrays for every kernel, so the
+The kernels' contract (``src/repro/kernels``) is that both backends
+return — and mutate — *bit-identical* arrays for every kernel, so the
 choice of backend can never change solver output, only wall-clock.  The
 hypothesis suites here generate random inputs for all six kernels and
-compare each registered backend against the pure-python reference with
-exact (not approximate) equality; the solver-level tests assert that
-whole ``solve_rhgpt`` / ``run_pipeline`` runs are reproduced verbatim
-under every backend and that the resolved backend lands in run-report
-meta.  Everything passes with or without numba installed: the
-cross-backend comparisons skip when only python is registered, and the
-fallback tests skip in the opposite direction.
+compare ``numba_backend`` against the pure-python reference with exact
+(not approximate) equality: JIT-compiled where numba imports, and as its
+plain-Python source (the ``njit`` stub returns the function unchanged)
+where it does not, so the comparison runs on every machine.  The
+solver-level tests rebind the six ``repro.kernels`` attributes to each
+backend in turn and assert that whole ``solve_rhgpt`` / ``run_pipeline``
+runs are reproduced verbatim, and that run reports stamp the backend
+``repro.kernels`` chose at import.
 """
 
-import importlib.util
+import importlib
 
 import numpy as np
 import pytest
@@ -21,137 +22,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.kernels as kernels
-from repro.cache import CacheConfig
+from repro.cache import CacheConfig, get_cache
 from repro.core.config import SolverConfig
 from repro.core.engine import run_pipeline
 from repro.errors import InvalidInputError
 from repro.graph.generators import planted_partition, random_demands
 from repro.hierarchy.hierarchy import Hierarchy
-from repro.kernels import (
-    ENV_VAR,
-    KERNEL_NAMES,
-    KernelBackend,
-    KernelConfig,
-    available_backends,
-    get_backend,
-    resolve_backend,
-    use_backend,
-)
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
+from repro.kernels import KERNEL_NAMES, numba_backend, python_backend, resolve_backend
 
 #: Backends under test; the first is the bit-exact reference.
-BACKENDS = ["python"] + (["numba"] if HAVE_NUMBA else [])
+BACKENDS = {"python": python_backend, "numba": numba_backend}
 
-cross_backend = pytest.mark.skipif(
-    len(BACKENDS) < 2, reason="only the python backend is installed"
-)
+
+def bind(monkeypatch, name):
+    """Point the six ``repro.kernels`` attributes and ``BACKEND`` at one
+    backend, as if it had been chosen at import (undone after the test)."""
+    for kernel in KERNEL_NAMES:
+        monkeypatch.setattr(kernels, kernel, getattr(BACKENDS[name], kernel))
+    monkeypatch.setattr(kernels, "BACKEND", name)
 
 
 # ----------------------------------------------------------------------
-# registry / selection
+# import-time selection
 # ----------------------------------------------------------------------
 
 
 class TestRegistry:
-    def test_python_always_first_and_available(self):
-        names = available_backends()
-        assert names[0] == "python"
+    """Which backend ``repro.kernels`` binds at import, and its accessor."""
 
     def test_numba_availability_matches_import(self):
-        assert ("numba" in available_backends()) == HAVE_NUMBA
+        assert (kernels.BACKEND == "numba") == numba_backend.NUMBA_AVAILABLE
+        chosen = BACKENDS[kernels.BACKEND]
+        backend = resolve_backend("auto")
+        assert backend.name == kernels.BACKEND
+        for name in KERNEL_NAMES:
+            assert getattr(kernels, name) is getattr(chosen, name)
+            assert getattr(backend, name) is getattr(chosen, name)
+
+    def test_missing_numba_falls_back_to_python(self, monkeypatch):
+        # A numba that is installed but fails to import leaves
+        # NUMBA_AVAILABLE false; re-run the import-time choice under that.
+        monkeypatch.setattr(numba_backend, "NUMBA_AVAILABLE", False)
+        try:
+            importlib.reload(kernels)
+            assert kernels.BACKEND == "python"
+            for name in KERNEL_NAMES:
+                assert getattr(kernels, name) is getattr(python_backend, name)
+        finally:
+            monkeypatch.undo()
+            importlib.reload(kernels)
 
     def test_unknown_explicit_backend_raises(self):
-        with pytest.raises(InvalidInputError):
-            resolve_backend("cython")
-
-    def test_kernel_config_validates(self):
-        assert KernelConfig().backend == "auto"
-        assert KernelConfig(backend="python").backend == "python"
-        with pytest.raises(InvalidInputError):
-            KernelConfig(backend="fast")
-
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_missing_numba_falls_back_to_python(self):
-        assert resolve_backend("numba").name == "python"
-
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-    def test_pinned_numba_resolves(self):
-        assert resolve_backend("numba").name == "numba"
-
-    def test_env_override_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "python")
-        assert get_backend().name == "python"
-        assert resolve_backend("auto").name == "python"
-
-    def test_unknown_env_value_autodetects(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "turbo")
-        assert get_backend().name in available_backends()
-
-    def test_explicit_scope_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "numba")  # may not even be installed
-        with use_backend("python") as b:
-            assert b.name == "python"
-            assert get_backend() is b
-
-    def test_use_backend_nests_and_restores(self):
-        outer_default = get_backend()
-        with use_backend("python") as b1:
-            assert get_backend() is b1
-            with use_backend("auto") as b2:
-                assert get_backend() is b2
-            assert get_backend() is b1
-        assert get_backend() is outer_default
-
-    def test_backend_abi_is_enforced(self):
-        with pytest.raises(InvalidInputError):
-            KernelBackend("partial", csr_matvec=lambda *a: None)
-        fns = {name: (lambda *a: None) for name in KERNEL_NAMES}
-        with pytest.raises(InvalidInputError):
-            KernelBackend("extra", surprise=lambda *a: None, **fns)
-        assert KernelBackend("ok", **fns).name == "ok"
-
-    def test_register_backend_replaces_and_none_means_unavailable(self):
-        fns = {name: (lambda *a: None) for name in KERNEL_NAMES}
-        try:
-            kernels.register_backend("dummy", lambda: None)
-            assert "dummy" not in available_backends()
-            kernels.register_backend("dummy", lambda: KernelBackend("dummy", **fns))
-            assert "dummy" in available_backends()
-            assert resolve_backend("dummy").name == "dummy"
-        finally:
-            kernels._FACTORIES.pop("dummy", None)
-            kernels._INSTANCES.pop("dummy", None)
-
-    def test_dispatch_metric_counts_kernel_and_backend(self):
-        # Other suites reset the metrics registry; drop cached children
-        # so dispatch re-binds to the live registry.
-        kernels._DISPATCH.clear()
-        child = kernels._dispatch_child("csr_matvec", "python")
-        from repro.obs.metrics import get_registry
-
-        fam = get_registry().counter(
-            "repro_kernel_dispatch_total",
-            "Hot-path kernel invocations by kernel name and backend",
-            labelnames=("kernel", "backend"),
-        )
-        before = fam.value(kernel="csr_matvec", backend="python")
-        indptr = np.asarray([0, 1], dtype=np.int64)
-        indices = np.asarray([0], dtype=np.int64)
-        data = np.asarray([2.0])
-        with use_backend("python"):
-            kernels.csr_matvec(indptr, indices, data, np.asarray([3.0]))
-        assert fam.value(kernel="csr_matvec", backend="python") == before + 1
-        assert child is kernels._dispatch_child("csr_matvec", "python")
+        for choice in ("cython", "python", "numba"):
+            with pytest.raises(InvalidInputError):
+                resolve_backend(choice)
 
 
 # ----------------------------------------------------------------------
 # cross-backend equivalence (bit-exact, hypothesis-generated inputs)
 # ----------------------------------------------------------------------
-
-
-def _backends():
-    return [resolve_backend(name) for name in BACKENDS]
 
 
 def _dinic_network(rng):
@@ -180,7 +109,6 @@ def _dinic_network(rng):
     return heads, caps, arc_indptr, arc_ids, s, t
 
 
-@cross_backend
 class TestCrossBackendEquivalence:
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
@@ -188,13 +116,13 @@ class TestCrossBackendEquivalence:
         rng = np.random.default_rng(seed)
         heads, caps, arc_indptr, arc_ids, s, _ = _dinic_network(rng)
         ref = None
-        for b in _backends():
+        for name, b in BACKENDS.items():
             level = b.dinic_bfs_levels(heads, caps.copy(), arc_indptr, arc_ids, s)
             level = np.asarray(level)
             if ref is None:
                 ref = level
             else:
-                assert np.array_equal(level, ref), b.name
+                assert np.array_equal(level, ref), name
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
@@ -202,7 +130,7 @@ class TestCrossBackendEquivalence:
         rng = np.random.default_rng(seed)
         heads, caps0, arc_indptr, arc_ids, s, t = _dinic_network(rng)
         results = []
-        for b in _backends():
+        for name, b in BACKENDS.items():
             caps = caps0.copy()
             total = 0.0
             phases = []
@@ -217,7 +145,7 @@ class TestCrossBackendEquivalence:
                 )
                 phases.append(float(pushed))
                 total += pushed
-            results.append((b.name, phases, total, caps, level))
+            results.append((name, phases, total, caps, level))
         _, phases0, total0, caps_ref, level_ref = results[0]
         for name, phases, total, caps, level in results[1:]:
             assert phases == phases0, name  # exact float equality, per phase
@@ -240,7 +168,7 @@ class TestCrossBackendEquivalence:
         start = int(rng.integers(0, na * nb))
         stop = int(rng.integers(start, na * nb + 1))
         ref = None
-        for b in _backends():
+        for name, b in BACKENDS.items():
             out = b.dp_tile_merge(
                 pa_sig, pa_cost, pb_sig, pb_cost, caps, start, stop, budget
             )
@@ -248,8 +176,8 @@ class TestCrossBackendEquivalence:
                 ref = out
             else:
                 for got, want in zip(out[:5], ref[:5]):
-                    assert np.array_equal(np.asarray(got), np.asarray(want)), b.name
-                assert int(out[5]) == int(ref[5]), b.name
+                    assert np.array_equal(np.asarray(got), np.asarray(want)), name
+                assert int(out[5]) == int(ref[5]), name
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=80, deadline=None)
@@ -265,14 +193,14 @@ class TestCrossBackendEquivalence:
         )
         beam = -1 if rng.random() < 0.5 else int(rng.integers(1, 6))
         ref = None
-        for b in _backends():
+        for name, b in BACKENDS.items():
             kept, truncated = b.dp_dominance_prune(sigs, costs, order, beam)
             kept = np.asarray(kept)
             if ref is None:
                 ref = (kept, bool(truncated))
             else:
-                assert np.array_equal(kept, ref[0]), b.name
-                assert bool(truncated) == ref[1], b.name
+                assert np.array_equal(kept, ref[0]), name
+                assert bool(truncated) == ref[1], name
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
@@ -289,14 +217,14 @@ class TestCrossBackendEquivalence:
         data = mat.data.astype(np.float64)
         x = rng.uniform(-1.0, 1.0, size=n)
         ref = None
-        for b in _backends():
+        for name, b in BACKENDS.items():
             y = np.asarray(b.csr_matvec(indptr, indices, data, x))
             if ref is None:
                 ref = y
             else:
                 # Bit-exact, not approx: accumulation order is part of
                 # the kernel spec (the Fiedler cache digests depend on it).
-                assert np.array_equal(y, ref), b.name
+                assert np.array_equal(y, ref), name
 
     @given(st.integers(min_value=0, max_value=10**9))
     @settings(max_examples=60, deadline=None)
@@ -321,14 +249,14 @@ class TestCrossBackendEquivalence:
         )
         rounds = int(rng.integers(1, 5))
         ref = None
-        for b in _backends():
+        for name, b in BACKENDS.items():
             match = np.asarray(
                 b.heavy_edge_match(g.indptr, g.indices, g.adj_weights, tie, fits, rounds)
             )
             if ref is None:
                 ref = match
             else:
-                assert np.array_equal(match, ref), b.name
+                assert np.array_equal(match, ref), name
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +275,7 @@ def _canonical_solution(sol):
 
 
 class TestSolverDeterminism:
-    def test_solve_rhgpt_bit_identical_across_backends(self):
+    def test_solve_rhgpt_bit_identical_across_backends(self, monkeypatch):
         from repro.bench.oracles import path_binary_tree
         from repro.hgpt.dp import solve_rhgpt
 
@@ -356,34 +284,34 @@ class TestSolverDeterminism:
         deltas = [0.0, 4.0, 1.0]
         runs = []
         for name in BACKENDS:
-            with use_backend(name):
-                runs.append(_canonical_solution(solve_rhgpt(bt, caps, deltas)))
-        for got in runs[1:]:
-            assert got == runs[0]
+            bind(monkeypatch, name)
+            runs.append(_canonical_solution(solve_rhgpt(bt, caps, deltas)))
+        assert runs[1] == runs[0]
 
-    def test_run_pipeline_identical_and_meta_stamped(self):
+    def test_run_pipeline_identical_and_meta_stamped(self, monkeypatch):
         g = planted_partition(4, 4, 0.8, 0.1, seed=5)
         hier = Hierarchy([2, 4], [10.0, 3.0, 0.0])
         d = random_demands(g.n, hier.total_capacity, fill=0.5, skew=0.3, seed=6)
-        runs = {}
+        # With the process cache off and a gomory_hu member, each run calls
+        # all six kernels itself instead of reusing the other run's
+        # Fiedler vectors and cut trees.
+        monkeypatch.setattr(get_cache(), "enabled", False)
+        cfg = SolverConfig(
+            seed=0,
+            n_trees=3,
+            tree_methods=("spectral", "contraction", "gomory_hu"),
+            refine=False,
+            cache=CacheConfig(enabled=False),
+        )
+        runs = []
         for name in BACKENDS:
-            cfg = SolverConfig(
-                seed=0,
-                n_trees=2,
-                refine=False,
-                cache=CacheConfig(enabled=False),
-                kernel=KernelConfig(backend=name),
-            )
+            bind(monkeypatch, name)
             res = run_pipeline(g, hier, d, cfg)
-            assert res.kernel_backend == name
-            report = res.report()
-            assert report.meta["kernel_backend"] == name
-            runs[name] = (res.cost, res.placement.leaf_of.copy())
-        ref_cost, ref_leaf = runs[BACKENDS[0]]
-        for name in BACKENDS[1:]:
-            cost, leaf = runs[name]
-            assert cost == ref_cost  # exact — backends may not drift
-            assert np.array_equal(leaf, ref_leaf)
+            assert res.report().meta["kernel_backend"] == name
+            runs.append((res.cost, res.placement.leaf_of.copy()))
+        (ref_cost, ref_leaf), (cost, leaf) = runs
+        assert cost == ref_cost  # exact — backends may not drift
+        assert np.array_equal(leaf, ref_leaf)
 
     def test_auto_resolves_and_stamps(self):
         g = planted_partition(3, 4, 0.8, 0.1, seed=7)
@@ -393,6 +321,4 @@ class TestSolverDeterminism:
             seed=0, n_trees=2, refine=False, cache=CacheConfig(enabled=False)
         )
         res = run_pipeline(g, hier, d, cfg)
-        expected = "numba" if HAVE_NUMBA else "python"
-        assert res.kernel_backend == expected
-        assert res.report().meta["kernel_backend"] == expected
+        assert res.report().meta["kernel_backend"] == kernels.BACKEND

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.kernels as kernels
 from repro.core.config import MultilevelConfig, SolverConfig
 from repro.core.engine import EngineResult
 from repro.core.solver import solve_hgp
@@ -103,7 +104,7 @@ class TestSolveMultilevel:
         assert res.grid is res.coarse.grid
         meta = res.report().meta
         assert meta["run_id"] == res.run_id
-        assert meta["kernel_backend"] == res.coarse.kernel_backend
+        assert meta["kernel_backend"] == kernels.BACKEND
         assert meta["multilevel"]["coarse_cost"] == res.coarse.cost
 
     def test_report_dir_writes_frontend_report(
