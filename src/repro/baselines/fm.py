@@ -15,11 +15,13 @@ multilevel front-end's uncoarsening sweep: vertices move between
 hierarchy *leaves* and gains score the Eq. (1) objective — ``cm``-level
 deltas weighted by the vertex's connection strength to each candidate
 subtree — against per-node capacity budgets at every hierarchy level,
-not a flat cut.  Gains are computed in bulk with vectorised group-by
-passes over the CSR adjacency; only the (short) sequence of applied
-moves runs in Python, with neighbour locking so every applied gain is
-exact.  Passes snapshot the best labelling seen and roll back to it,
-so the refined placement never costs more than the input.
+not a flat cut.  Only boundary vertices (those with a neighbour on
+another leaf) can move, so each pass reads just their CSR entries and
+computes every gain in bulk from one sort of those entries; only the
+(short) sequence of applied moves runs in Python, with neighbour
+locking so every applied gain is exact.  Passes snapshot the best
+labelling seen and roll back to it, so the refined placement never
+costs more than the input.
 """
 
 from __future__ import annotations
@@ -183,6 +185,19 @@ class HierarchyRefineStats:
     rolled_back: bool = False
 
 
+#: Smallest gain treated as an improvement.
+MIN_GAIN = 1e-12
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted, non-empty array that start a run
+    of equal values."""
+    new = np.empty(sorted_keys.size, dtype=bool)
+    new[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    return new
+
+
 def fm_refine_hierarchy(
     g: Graph,
     hierarchy: Hierarchy,
@@ -190,28 +205,36 @@ def fm_refine_hierarchy(
     leaf_of: np.ndarray,
     max_passes: int = 2,
     load_limit: Optional[float] = None,
-    min_gain: float = 1e-12,
 ) -> Tuple[np.ndarray, HierarchyRefineStats]:
     """Hierarchy-aware FM: move vertices between leaves to cut Eq. (1) cost.
 
-    Each pass works in three vectorised steps plus one short Python
-    apply loop:
+    Only *boundary* vertices — those with a neighbour on another leaf —
+    can move: a vertex whose neighbours all share its leaf has no
+    candidate target.  Each pass therefore works on the CSR entries of
+    boundary vertices alone, in four steps:
 
-    1. **Connection tables** — for every hierarchy level ``j``, group-sum
-       the CSR adjacency by ``(vertex, level-j ancestor of the
-       neighbour's leaf)``; entry ``C_vj(t)`` is how much weight ``v``
-       sends under H-node ``t``.
+    1. **Connection tables** — one argsort of the entries by
+       ``(vertex, neighbour's leaf)``; it is stable only for speed, as
+       the CSR already groups entries by vertex.  A leaf's level-``j``
+       ancestor is monotone in the leaf, so that one order also sorts
+       every level's ``(vertex, level-j ancestor)`` key, and each
+       level's groups fall out of a diff/cumsum over it.  Entry
+       ``C_vj(t)`` — the weight ``v`` sends under H-node ``t`` — is the
+       group's sum, accumulated in CSR entry order.
     2. **Gains** — candidate targets are the distinct neighbour leaves of
-       each vertex.  Writing ``cm`` via its level deltas
-       ``δ_j = cm(j−1) − cm(j)``, moving ``v`` from leaf ``L`` to ``L'``
-       changes the cost by ``−Σ_j δ_j (C_vj(anc_j L') − C_vj(anc_j L))``
-       — a batched table lookup per level.
-    3. **Apply** — positive-gain moves are applied best-first; applying a
-       move locks the vertex and its neighbours for the rest of the pass
-       so every applied gain stays exact.  A move must fit the capacity
-       budget of every hierarchy node it enters (``load_limit ×
-       capacity``; the default budget tolerates the incoming placement's
-       own violation but never worsens it).
+       each vertex (the leaf level's groups).  Writing ``cm`` via its
+       level deltas ``δ_j = cm(j−1) − cm(j)``, moving ``v`` from leaf
+       ``L`` to ``L'`` changes the cost by
+       ``−Σ_j δ_j (C_vj(anc_j L') − C_vj(anc_j L))`` — a batched table
+       lookup per level.
+    3. **Apply** — each vertex takes its best target (largest gain, then
+       smallest leaf); positive-gain moves are applied in order of gain,
+       then vertex id.  Applying a move locks the vertex and its
+       neighbours for the rest of the pass so every applied gain stays
+       exact.  A move must fit the capacity budget of every hierarchy
+       node it enters (``load_limit × capacity``; the default budget
+       tolerates the incoming placement's own violation but never
+       worsens it).  This is the only Python loop.
     4. **Rollback** — the cost after each pass is measured exactly; the
        best labelling seen is returned, so refinement is monotone.
 
@@ -227,8 +250,6 @@ def fm_refine_hierarchy(
     load_limit:
         Per-node load/capacity budget.  ``None`` uses the incoming
         placement's own worst violation (floored at 1.0) per level.
-    min_gain:
-        Smallest gain considered an improvement.
 
     Returns
     -------
@@ -279,29 +300,42 @@ def fm_refine_hierarchy(
         budgets[j] = limit * cap
 
     start_cost = eq1_cost(g, hierarchy, leaf_of)
-    best_cost = start_cost
+    cost = best_cost = start_cost
     best_leaf = leaf_of.copy()
 
     for _ in range(max_passes):
         stats.passes += 1
+        # (1) connection tables over the boundary vertices' entries.
         nbr_leaf = leaf_of[nbr]
-        # (1) connection tables, one sorted group-by per level.
+        boundary = np.zeros(n, dtype=bool)
+        boundary[owner[nbr_leaf != np.repeat(leaf_of, deg)]] = True
+        entries = np.flatnonzero(np.repeat(boundary, deg))
+        if entries.size == 0:
+            break
+        b_wts = wts[entries]
+        key = owner[entries] * k + nbr_leaf[entries]
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        inv = np.empty(entries.size, dtype=np.int64)
         conn_keys, conn_vals = {}, {}
         for j in levels:
-            key = owner * hierarchy.count(j) + nbr_leaf // widths[j]
-            uk, inv = np.unique(key, return_inverse=True)
-            conn_keys[j] = uk
-            conn_vals[j] = np.bincount(inv, weights=wts)
+            # k is a multiple of widths[j], so this is still sorted and
+            # equals vertex * count(j) + level-j ancestor.
+            level_key = sorted_key // widths[j]
+            new = _run_starts(level_key)
+            # Group ids in CSR entry order, so bincount adds each group's
+            # weights in the order the sums are defined in.
+            inv[order] = np.cumsum(new) - 1
+            conn_keys[j] = level_key[new]
+            conn_vals[j] = np.bincount(inv, weights=b_wts)
 
-        # (2) candidate (vertex, neighbour-leaf) pairs + batched gains.
-        ckey = owner * k + nbr_leaf
-        uc = np.unique(ckey)
+        # (2) candidates are the leaf level's groups, minus each vertex's
+        # own leaf; then batched gains.
+        uc = sorted_key[_run_starts(sorted_key)]
         cand_v = uc // k
         cand_leaf = uc % k
         keep = cand_leaf != leaf_of[cand_v]
         cand_v, cand_leaf = cand_v[keep], cand_leaf[keep]
-        if cand_v.size == 0:
-            break
         gains = np.zeros(cand_v.size)
         for j in levels:
             cnt = hierarchy.count(j)
@@ -319,7 +353,7 @@ def fm_refine_hierarchy(
             gains += deltas[j - 1] * (
                 conn(cand_leaf // widths[j]) - conn(leaf_of[cand_v] // widths[j])
             )
-        pos_gain = gains > min_gain
+        pos_gain = gains > MIN_GAIN
         cand_v, cand_leaf, gains = cand_v[pos_gain], cand_leaf[pos_gain], gains[pos_gain]
         if cand_v.size == 0:
             break
@@ -368,8 +402,7 @@ def fm_refine_hierarchy(
             best_cost = cost
             best_leaf = leaf_of.copy()
 
-    final_cost = eq1_cost(g, hierarchy, leaf_of)
-    if final_cost > best_cost + 1e-12:
+    if cost > best_cost + 1e-12:
         leaf_of = best_leaf
         stats.rolled_back = True
     stats.gain = start_cost - best_cost

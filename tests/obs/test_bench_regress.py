@@ -30,7 +30,9 @@ def make_bench_file(tmp_path, name, points, meta=None):
     return path
 
 
-def make_point(sweep="n", n=24, h=2, grid_cells=96, time_s=0.01, dp_cost=42.0):
+def make_point(
+    sweep="n", n=24, h=2, grid_cells=96, time_s=0.01, dp_cost=42.0, cost=None
+):
     tel = Telemetry("bench")
     tel.add_seconds("dp", time_s * 0.8)
     tel.add_seconds("trees", time_s * 0.2)
@@ -45,7 +47,7 @@ def make_point(sweep="n", n=24, h=2, grid_cells=96, time_s=0.01, dp_cost=42.0):
         "time_s": time_s,
         "states_max": 10,
         "merges": 100,
-        "report": tel.report().to_dict(),
+        "report": tel.report(cost=cost).to_dict(),
     }
 
 
@@ -77,6 +79,46 @@ class TestGate:
             ["--baseline", str(base), "--fresh", str(fresh)]
         )
         assert rc == 1
+
+    def test_final_cost_change_fails(self, bench_regress, tmp_path, capsys):
+        """A multilevel point's ``members[0]`` is the coarse solve: its
+        ``dp_cost`` stays put when only the refined cost changes."""
+        base = make_bench_file(tmp_path, "base.json", [make_point(cost=30.0)])
+        fresh = make_bench_file(tmp_path, "fresh.json", [make_point(cost=31.0)])
+        rc = bench_regress.main(
+            ["--baseline", str(base), "--fresh", str(fresh)]
+        )
+        assert rc == 1
+        assert "report.cost changed" in capsys.readouterr().err
+
+    def test_final_cost_last_digit_jitter_passes(self, bench_regress, tmp_path):
+        cost = 5261.58999106166
+        base = make_bench_file(tmp_path, "base.json", [make_point(cost=cost)])
+        fresh = make_bench_file(
+            tmp_path, "fresh.json", [make_point(cost=cost * (1 + 1e-15))]
+        )
+        rc = bench_regress.main(
+            ["--baseline", str(base), "--fresh", str(fresh)]
+        )
+        assert rc == 0
+
+    def test_final_cost_within_cost_tol_passes(self, bench_regress, tmp_path):
+        base = make_bench_file(tmp_path, "base.json", [make_point(cost=100.0)])
+        fresh = make_bench_file(tmp_path, "fresh.json", [make_point(cost=100.5)])
+        rc = bench_regress.main(
+            ["--baseline", str(base), "--fresh", str(fresh), "--cost-tol", "1"]
+        )
+        assert rc == 0
+
+    def test_final_cost_gated_only_when_both_carry_it(
+        self, bench_regress, tmp_path
+    ):
+        base = make_bench_file(tmp_path, "base.json", [make_point()])
+        fresh = make_bench_file(tmp_path, "fresh.json", [make_point(cost=31.0)])
+        rc = bench_regress.main(
+            ["--baseline", str(base), "--fresh", str(fresh)]
+        )
+        assert rc == 0
 
     def test_time_regression_warns_only(self, bench_regress, tmp_path, capsys):
         base = make_bench_file(tmp_path, "base.json", [make_point(time_s=0.01)])

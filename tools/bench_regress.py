@@ -9,6 +9,13 @@ file, point by point:
   (``members[0].dp_cost`` of the embedded run report) beyond
   ``--cost-tol`` percent fails the run.  The solver is deterministic per
   seed, so cost drift means behaviour changed.
+* **The returned cost is gated hard too** — when both files carry
+  ``report.cost`` (the Eq. 1 cost the run returned), a relative change
+  beyond ``--cost-tol`` percent or ``FINAL_COST_REL_TOL``, whichever is
+  larger, fails the run.  For a multilevel point ``members[0]`` is the
+  coarse solve, scored before any refinement, so only this gate sees
+  the refiner's output.  The floor absorbs last-digit jitter in the
+  float sum; a real change moves the cost by far more.
 * **Time is warn-only by default** — per-point ``time_s`` regressions
   beyond ``--time-warn`` percent print a warning with the per-stage
   breakdown (via :func:`repro.obs.report.diff_reports` on the embedded
@@ -42,13 +49,16 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.telemetry import RunReport
 from repro.obs.report import diff_reports
 
 #: Point identity within a sweep file: (sweep, n, h, grid_cells).
 KEY_FIELDS = ("sweep", "n", "h", "grid_cells")
+
+#: Relative ``report.cost`` change that still counts as none.
+FINAL_COST_REL_TOL = 1e-12
 
 
 def point_key(point: dict) -> Tuple:
@@ -124,15 +134,20 @@ def check_metrics_dump(path: Path) -> Tuple[list, list]:
     return [], summary
 
 
+def final_cost(point: dict) -> Optional[float]:
+    """``report.cost``, the Eq. 1 cost the run returned, or ``None``."""
+    cost = (point.get("report") or {}).get("cost")
+    return None if cost is None else float(cost)
+
+
 def point_cost(point: dict) -> float:
-    report = point.get("report") or {}
-    members = report.get("members") or []
+    members = (point.get("report") or {}).get("members") or []
     if members:
         return float(members[0]["dp_cost"])
-    cost = report.get("cost")
+    cost = final_cost(point)
     if cost is None:
         raise SystemExit(f"point {point_key(point)} carries no cost")
-    return float(cost)
+    return cost
 
 
 def pct_delta(baseline: float, fresh: float) -> float:
@@ -174,6 +189,14 @@ def compare(
                 f"point {key}: dp_cost changed {point_cost(bp):g} -> "
                 f"{point_cost(fp):g} ({cost_pct:+.2f}%)"
             )
+        base_final, fresh_final = final_cost(bp), final_cost(fp)
+        if base_final is not None and fresh_final is not None:
+            final_pct = pct_delta(base_final, fresh_final)
+            if abs(final_pct) > max(FINAL_COST_REL_TOL * 100.0, cost_tol_pct):
+                failures.append(
+                    f"point {key}: report.cost changed {base_final!r} -> "
+                    f"{fresh_final!r} ({final_pct:+.2e}%)"
+                )
         time_pct = pct_delta(float(bp["time_s"]), float(fp["time_s"]))
         if time_pct > time_warn_pct:
             msg = (
@@ -204,7 +227,8 @@ def main(argv=None) -> int:
         type=float,
         default=0.0,
         metavar="PCT",
-        help="tolerated absolute dp_cost drift in percent (default 0: exact)",
+        help="tolerated cost drift in percent (default 0: dp_cost exact, "
+        "report.cost within FINAL_COST_REL_TOL)",
     )
     parser.add_argument(
         "--time-fail",
