@@ -37,7 +37,7 @@ from repro.obs.exporter import maybe_start_from_env
 SEED = 18
 
 #: The pre-kernel merge semantics (the baseline of the speedup).
-LEGACY = DPConfig(tile_size=0, bound_pruning=False, parallel_subtrees=False)
+LEGACY = DPConfig(tile_size=0, bound_pruning=False)
 
 #: Height sweep: (h, hierarchy, grid budget).  h=4 uses a smaller grid
 #: so the legacy kernel stays tractable inside a CI run.

@@ -160,7 +160,7 @@ class SolverConfig:
         byte-budget / disk-dir overrides applied to the shared cache.
     dp:
         Merge-kernel knobs (:class:`repro.hgpt.dp.DPConfig`): merge tile
-        size, incumbent-bound pruning, subtree parallelism.  All
+        size, incumbent-bound pruning and its pre-pass beam.  All
         combinations return identical solution costs — these trade
         memory and wall-clock only.
     resilience:

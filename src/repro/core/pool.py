@@ -58,8 +58,6 @@ __all__ = [
     "release_generation",
     "live_generations",
     "member_job",
-    "dp_subtree_job",
-    "in_worker",
 ]
 
 
@@ -326,16 +324,6 @@ def live_generations() -> int:
 _GEN_CACHE: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 _GEN_CACHE_MAX = 4
 
-#: Set to True inside pool workers so nested code (the DP kernel's
-#: subtree farming) never tries to build a pool inside a pool.
-_IN_WORKER = False
-
-
-def in_worker() -> bool:
-    """True when the calling process is a pool worker."""
-    return _IN_WORKER
-
-
 def _load_generation(ref: GenerationRef) -> Dict[str, Any]:
     payload = _GEN_CACHE.get(ref.gen_id)
     if payload is not None:
@@ -359,8 +347,6 @@ def member_job(args: Tuple[GenerationRef, int, int, int]):
     the payload load, ``member`` before the solve) are no-ops unless
     ``REPRO_FAULT_SPEC`` is set.
     """
-    global _IN_WORKER
-    _IN_WORKER = True
     ref, member, index, attempt = args
     _maybe_inject("spool", member=member, attempt=attempt, in_worker=True)
     payload = _load_generation(ref)
@@ -390,19 +376,3 @@ def member_job(args: Tuple[GenerationRef, int, int, int]):
     except Exception:
         pass  # a malformed delta must never fail the member solve
     return outcome
-
-
-def dp_subtree_job(args: Tuple[GenerationRef, int]):
-    """Pool worker entry point: solve one farmed DP subtree.
-
-    ``args`` is ``(generation ref, subtree root)``; the tree, capacities
-    and kernel configuration come from the generation payload (see
-    :func:`repro.hgpt.dp.solve_subtree_tables`).
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    ref, root = args
-    payload = _load_generation(ref)
-    from repro.hgpt.dp import solve_subtree_tables
-
-    return solve_subtree_tables(payload, root)

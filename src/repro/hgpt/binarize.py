@@ -118,14 +118,6 @@ class BinaryTree:
                 digests[v] = h.digest()
         return digests
 
-    def subtree_sizes(self) -> np.ndarray:
-        """Node count of the subtree rooted at each node (leaves = 1)."""
-        size = np.ones(self.n_nodes, dtype=np.int64)
-        for v in self.postorder():
-            if self.left[v] >= 0:
-                size[v] += size[int(self.left[v])] + size[int(self.right[v])]
-        return size
-
     def validate(self) -> None:
         """Structural sanity: every internal node has two children, every
         leaf a vertex and positive demand."""

@@ -45,10 +45,10 @@ Implementation
 State tables are *structure-of-arrays* (signature matrix, cost vector,
 back-pointer columns) and every pass — projection, pairwise merge,
 deduplication, dominance pruning — is vectorised numpy over those
-arrays.  The merge engine is a *bounded, tiled, optionally
-subtree-parallel* kernel configured by :class:`DPConfig`; all knob
-combinations return costs identical to the exhaustive merge (pinned by
-``tests/hgpt/test_dp_kernel.py``).  Semantics:
+arrays.  The merge engine is a *bounded, tiled* kernel configured by
+:class:`DPConfig`; all knob combinations return costs identical to the
+exhaustive merge (pinned by ``tests/hgpt/test_dp_kernel.py``).
+Semantics:
 
 * **Projection**: cutting a child's up-edge at level ``j`` zeroes
   signature components above ``j`` and pays for each closed non-empty
@@ -56,24 +56,24 @@ combinations return costs identical to the exhaustive merge (pinned by
 * **Dominance pruning**: ``(sig', cost')`` kills ``(sig, cost)`` when
   ``sig' ≤ sig`` componentwise and ``cost' ≤ cost`` — a smaller active
   set only loosens future capacity checks, and any payment triggered by
-  ``Dᵏ > 0`` under ``sig'`` is also triggered under ``sig``.  The
-  ``h ≥ 3`` scan is blocked: each block of cost-ordered candidates is
-  first filtered against every previously kept signature in one
-  vectorised comparison, and only the survivors fall through to the
-  sequential intra-block pass (the old per-row loop profiled at ~97% of
-  deep-hierarchy solve time).
+  ``Dᵏ > 0`` under ``sig'`` is also triggered under ``sig``.  States
+  are scanned cheapest-first; deduplication already leaves them in
+  signature order, so one stable sort on cost gives the scan order.
+  The ``h ≥ 3`` scan is blocked: each block of cost-ordered candidates
+  is filtered against every previously kept signature in one
+  vectorised comparison, then its survivors against each other in one
+  comparison under a strict upper-triangular mask (an earlier survivor
+  ≤ a later one drops it).
 * **Incumbent-bound pruning** (exact solves): a cheap beamed pre-pass
   seeds an upper bound, and an admissible per-node lower bound on the
   cost paid *outside* each subtree (mandatory closure payments,
   :func:`compute_lower_bounds`) drops any partial state that provably
   cannot beat the incumbent before it enters a cross-product.
 * **Tiled merges**: the ``(j1, j2) × K1 × K2`` cross-product streams
-  through fixed-size tiles that are bound-pruned, feasibility-masked and
+  through fixed-size tiles — each one block of side-A rows broadcast
+  against side B — that are bound-pruned, feasibility-masked and
   periodically compacted (radix dedupe + dominance), capping peak table
   bytes instead of materialising every candidate at once.
-* **Subtree parallelism**: disjoint subtrees below a size threshold are
-  independent, so their tables can be farmed across the persistent
-  :mod:`repro.core.pool` workers; the parent merges only the spine.
 * **Beam**: an optional cap on states kept per node; the most-closed
   surviving state is always retained (dropping every flexible state can
   make an ancestor infeasible), and the solver escalates to the exact
@@ -86,10 +86,9 @@ combinations return costs identical to the exhaustive merge (pinned by
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,7 +113,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DPConfig:
-    """Knobs of the bounded, tiled, subtree-parallel merge kernel.
+    """Knobs of the bounded, tiled merge kernel.
 
     Every combination returns the same solution *costs* as the
     exhaustive merge; the knobs trade memory and wall-clock, never
@@ -134,18 +133,6 @@ class DPConfig:
         and states whose cost plus the admissible outside-subtree lower
         bound exceeds it are dropped before they enter a cross-product.
         Ignored under a beam (see the module docstring).
-    parallel_subtrees:
-        Farm independent subtrees across the persistent
-        :mod:`repro.core.pool` workers and merge only the spine in the
-        parent.  Automatically disabled inside pool workers (no nested
-        pools) and on trees smaller than :attr:`parallel_min_nodes`.
-    parallel_workers:
-        Worker processes for subtree farming (``0`` = ``min(cpu, 8)``).
-    parallel_threshold:
-        Largest farmed subtree, in binary-tree nodes (``0`` = auto:
-        ``max(16, n_nodes // (2 × workers))``).
-    parallel_min_nodes:
-        Smallest tree worth farming at all.
     incumbent_beam:
         Beam width of the bound-seeding pre-pass.  Wider beams cost
         more up front but tighten the incumbent; 256 is the sweet spot
@@ -155,10 +142,6 @@ class DPConfig:
 
     tile_size: int = 1 << 18
     bound_pruning: bool = True
-    parallel_subtrees: bool = False
-    parallel_workers: int = 0
-    parallel_threshold: int = 0
-    parallel_min_nodes: int = 64
     incumbent_beam: int = 256
 
     def __post_init__(self) -> None:
@@ -166,31 +149,17 @@ class DPConfig:
             raise InvalidInputError(
                 f"tile_size must be >= 0, got {self.tile_size}"
             )
-        if self.parallel_workers < 0:
-            raise InvalidInputError(
-                f"parallel_workers must be >= 0, got {self.parallel_workers}"
-            )
-        if self.parallel_threshold < 0:
-            raise InvalidInputError(
-                f"parallel_threshold must be >= 0, got {self.parallel_threshold}"
-            )
-        if self.parallel_min_nodes < 1:
-            raise InvalidInputError(
-                f"parallel_min_nodes must be >= 1, got {self.parallel_min_nodes}"
-            )
         if self.incumbent_beam < 1:
             raise InvalidInputError(
                 f"incumbent_beam must be >= 1, got {self.incumbent_beam}"
             )
 
 
-#: Module default: tiling + bound pruning on, subtree farming opt-in.
+#: Module default: tiling + bound pruning on.
 _DEFAULT_CONFIG = DPConfig()
 
 #: Kernel-off reference configuration (the pre-kernel merge semantics).
-_LEGACY_CONFIG = DPConfig(
-    tile_size=0, bound_pruning=False, parallel_subtrees=False
-)
+_LEGACY_CONFIG = DPConfig(tile_size=0, bound_pruning=False)
 
 
 #: Hoisted metric-family handles (lazy — the registry may be reset or
@@ -475,32 +444,27 @@ def _dedupe_min(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per unique signature keep the cheapest row.
 
-    Returns (unique_sigs, min_costs, source_row_index), deterministic:
-    ties resolve to the smallest ``tie`` rank in (cost, tie) order
-    (row position when ``tie`` is ``None`` — the tiled merge passes the
-    global cross-product rank so compaction order cannot change
-    winners).  Rows are radix-encoded to scalar keys so uniqueness is
-    one int64 sort — ``np.unique(axis=0)``'s structured-dtype argsort
-    profiled ~10x slower on the DP's tables.
+    Returns (unique_sigs, min_costs, source_row_index) with the unique
+    rows in ascending lexicographic order, deterministic: ties resolve
+    to the smallest ``tie`` rank in (cost, tie) order (row position when
+    ``tie`` is ``None``, which the stable lexsort gives for free — the
+    tiled merge passes the global cross-product rank so compaction order
+    cannot change winners).  Rows are radix-encoded to scalar keys so
+    uniqueness is one int64 sort — ``np.unique(axis=0)``'s
+    structured-dtype argsort profiled ~10x slower on the DP's tables.
     """
     if sigs.shape[0] == 0:
         return sigs, costs, np.empty(0, dtype=np.int64)
-    if tie is None:
-        tie = np.arange(costs.size, dtype=np.int64)
     keys = _encode_rows(sigs)
+    uniq = None
     if keys is None:  # pragma: no cover - astronomically large capacities
-        uniq, inverse = np.unique(sigs, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        order = np.lexsort((tie, costs, inverse))
-        sorted_inv = inverse[order]
-        first = np.concatenate([[True], sorted_inv[1:] != sorted_inv[:-1]])
-        winners = order[first]
-        return uniq, costs[winners], winners
-    order = np.lexsort((tie, costs, keys))
+        uniq, keys = np.unique(sigs, axis=0, return_inverse=True)
+        keys = keys.ravel()
+    order = np.lexsort((costs, keys) if tie is None else (tie, costs, keys))
     sorted_keys = keys[order]
     first = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
     winners = order[first]
-    return sigs[winners], costs[winners], winners
+    return (sigs[winners] if uniq is None else uniq), costs[winners], winners
 
 
 def _project(
@@ -554,30 +518,29 @@ def _dominance_prune(
 ) -> np.ndarray:
     """Indices of surviving states (dominance + optional beam).
 
-    States are scanned in ascending (cost, signature) order; a state
-    survives unless a previously kept signature is ≤ it componentwise.
-    The scan itself is the ``dp_dominance_prune`` kernel dispatched
-    through :mod:`repro.kernels` (the python backend keeps the original
+    Precondition: the rows of ``sigs`` are unique and in ascending
+    lexicographic order, as :func:`_dedupe_min` returns them.  Then one
+    stable sort on cost scans the states in ascending (cost, signature)
+    order, and the first row of minimal component sum is the
+    lexicographically smallest one.
+
+    A state survives unless a previously kept signature is ≤ it
+    componentwise.  The scan itself is the ``dp_dominance_prune`` kernel
+    dispatched through :mod:`repro.kernels` (the python backend keeps
     staircase / blocked specialisations, the numba backend JIT-compiles
     an equivalent sequential scan — identical kept sets by construction).
     Under beam truncation the most-closed state (minimal component sum)
     is always re-inserted — see the module docstring.
     """
     m = costs.size
-    h = sigs.shape[1]
     if m <= 1:
         return np.arange(m, dtype=np.int64)
-    order = np.lexsort(tuple(sigs[:, i] for i in range(h - 1, -1, -1)) + (costs,))
+    order = np.argsort(costs, kind="stable")
     kept_idx, truncated = kernels.dp_dominance_prune(
         sigs, costs, order, -1 if beam_width is None else int(beam_width)
     )
     if truncated:
-        sums = sigs.sum(axis=1)
-        flex = int(
-            np.lexsort(
-                tuple(sigs[:, i] for i in range(h - 1, -1, -1)) + (sums,)
-            )[0]
-        )
+        flex = int(np.argmin(sigs.sum(axis=1)))
         if not (kept_idx == flex).any():
             kept_idx = np.append(kept_idx, np.int64(flex))
     return kept_idx
@@ -765,7 +728,7 @@ def _merge_node(
 
 
 # ----------------------------------------------------------------------
-# table construction (shared by serial solves, spines, and pool workers)
+# table construction
 # ----------------------------------------------------------------------
 
 
@@ -785,8 +748,7 @@ def _solve_tables(
     """Fill ``tables`` for ``nodes`` (a children-before-parents order).
 
     ``tables`` entries for the children of every processed internal node
-    must already be present (leaves are built on the fly), so the same
-    routine serves whole trees, farmed subtrees, and the parent spine.
+    must already be present (leaves are built on the fly).
 
     When ``memo`` is given, every internal node first probes the
     ``subtree_tables`` tier; hits skip the projection/merge work
@@ -846,159 +808,6 @@ def _solve_tables(
         size = tables[node].size  # type: ignore[union-attr]
         stats.states_total += size
         stats.states_max = max(stats.states_max, size)
-
-
-# ----------------------------------------------------------------------
-# subtree parallelism
-# ----------------------------------------------------------------------
-
-
-def _partition_subtrees(
-    bt: BinaryTree, max_nodes: int, min_nodes: int = 8
-) -> List[int]:
-    """Roots of disjoint subtrees with ``min_nodes <= size <= max_nodes``.
-
-    Walks down from the root, splitting any subtree above ``max_nodes``;
-    subtrees below ``min_nodes`` are left to the spine (not worth a
-    process hop).  The returned roots never include the tree root.
-    """
-    size = bt.subtree_sizes()
-    roots: List[int] = []
-    stack = [int(bt.left[bt.root]), int(bt.right[bt.root])] \
-        if not bt.is_leaf(bt.root) else []
-    while stack:
-        v = stack.pop()
-        if size[v] > max_nodes:
-            if not bt.is_leaf(v):
-                stack.append(int(bt.left[v]))
-                stack.append(int(bt.right[v]))
-            continue
-        if size[v] >= min_nodes:
-            roots.append(v)
-    return sorted(roots)
-
-
-def solve_subtree_tables(payload: Dict[str, object], root: int) -> dict:
-    """Pool-worker entry: build one farmed subtree's state tables.
-
-    ``payload`` is the generation dict published by
-    :func:`_solve_parallel` (tree, caps, deltas, beam, config, incumbent
-    and outside lower bounds).  Returns the subtree's tables as plain
-    arrays plus the worker-side counters, all picklable.
-    """
-    bt: BinaryTree = payload["bt"]  # type: ignore[assignment]
-    caps_arr = np.asarray(payload["caps"], dtype=np.int64)
-    deltas_arr = np.asarray(payload["deltas"], dtype=np.float64)
-    cfg: DPConfig = payload["cfg"]  # type: ignore[assignment]
-    stats = DPStats()
-    tables: List[Optional[_Table]] = [None] * bt.n_nodes
-    nodes = bt.subtree_postorder(root)
-    _solve_tables(
-        bt,
-        caps_arr,
-        deltas_arr,
-        payload["beam_width"],  # type: ignore[arg-type]
-        cfg,
-        stats,
-        nodes,
-        tables,
-        incumbent=float(payload["incumbent"]),  # type: ignore[arg-type]
-        outside_lb=payload["outside_lb"],  # type: ignore[arg-type]
-    )
-    return {
-        "root": root,
-        "tables": {
-            int(v): tables[v] for v in nodes if tables[v] is not None
-        },
-        "stats": stats.as_dict(),
-    }
-
-
-def _solve_parallel(
-    bt: BinaryTree,
-    caps_arr: np.ndarray,
-    deltas_arr: np.ndarray,
-    beam_width: Optional[int],
-    cfg: DPConfig,
-    stats: "DPStats",
-    tables: List[Optional[_Table]],
-    incumbent: float,
-    outside_lb: Optional[np.ndarray],
-) -> bool:
-    """Farm independent subtrees to the pool; solve the spine here.
-
-    Returns ``False`` (caller falls back to the serial pass) when the
-    tree partitions into fewer than two farmable subtrees or this
-    process is itself a pool worker.
-    """
-    from repro.core import pool as worker_pool
-
-    if worker_pool.in_worker():
-        return False
-    workers = cfg.parallel_workers or min(os.cpu_count() or 1, 8)
-    if workers < 2:
-        return False
-    max_nodes = cfg.parallel_threshold or max(16, bt.n_nodes // (2 * workers))
-    roots = _partition_subtrees(bt, max_nodes)
-    if len(roots) < 2:
-        return False
-
-    executor = worker_pool.get_pool(min(workers, len(roots)))
-    ref = worker_pool.publish_generation(
-        {
-            "bt": bt,
-            "caps": caps_arr,
-            "deltas": deltas_arr,
-            "beam_width": beam_width,
-            "cfg": cfg,
-            "incumbent": incumbent,
-            "outside_lb": outside_lb,
-        }
-    )
-    try:
-        jobs = [(ref, r) for r in roots]
-        results = list(executor.map(worker_pool.dp_subtree_job, jobs))
-    finally:
-        worker_pool.release_generation(ref)
-
-    covered = np.zeros(bt.n_nodes, dtype=bool)
-    for result in results:
-        sub_stats = result["stats"]
-        stats.nodes += sub_stats["nodes"]
-        stats.states_total += sub_stats["states_total"]
-        stats.states_max = max(stats.states_max, sub_stats["states_max"])
-        stats.merges += sub_stats["merges"]
-        stats.tiles += sub_stats["tiles"]
-        stats.bound_pruned += sub_stats["bound_pruned"]
-        stats.table_peak_bytes = max(
-            stats.table_peak_bytes, sub_stats["table_peak_bytes"]
-        )
-        stats.memo_hits += sub_stats.get("memo_hits", 0)
-        stats.memo_misses += sub_stats.get("memo_misses", 0)
-        for node, table in result["tables"].items():
-            tables[node] = table
-            covered[node] = True
-    get_registry().counter(
-        "repro_dp_parallel_subtrees_total",
-        "Subtrees farmed to pool workers by the DP kernel",
-    ).inc(len(roots))
-
-    spine = np.asarray(
-        [v for v in bt.postorder() if not covered[v]], dtype=np.int64
-    )
-    _solve_tables(
-        bt,
-        caps_arr,
-        deltas_arr,
-        beam_width,
-        cfg,
-        stats,
-        spine,
-        tables,
-        incumbent=incumbent,
-        outside_lb=outside_lb,
-    )
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -1081,7 +890,6 @@ def solve_rhgpt(
         pre_cfg = DPConfig(
             tile_size=cfg.tile_size,
             bound_pruning=False,
-            parallel_subtrees=False,
             incumbent_beam=cfg.incumbent_beam,
         )
         try:
@@ -1116,35 +924,19 @@ def solve_rhgpt(
         active_memo = None
 
     tables: List[Optional[_Table]] = [None] * bt.n_nodes
-    solved = False
-    if cfg.parallel_subtrees and bt.n_nodes >= cfg.parallel_min_nodes:
-        # Farmed subtrees fill worker-local caches, not this process's;
-        # the memo only drives the serial path.
-        solved = _solve_parallel(
-            bt,
-            caps_arr,
-            deltas_arr,
-            beam_width,
-            cfg,
-            own_stats,
-            tables,
-            incumbent,
-            outside_lb,
-        )
-    if not solved:
-        _solve_tables(
-            bt,
-            caps_arr,
-            deltas_arr,
-            beam_width,
-            cfg,
-            own_stats,
-            bt.postorder(),
-            tables,
-            incumbent=incumbent,
-            outside_lb=outside_lb,
-            memo=active_memo,
-        )
+    _solve_tables(
+        bt,
+        caps_arr,
+        deltas_arr,
+        beam_width,
+        cfg,
+        own_stats,
+        bt.postorder(),
+        tables,
+        incumbent=incumbent,
+        outside_lb=outside_lb,
+        memo=active_memo,
+    )
 
     root_table = tables[bt.root]
     assert root_table is not None

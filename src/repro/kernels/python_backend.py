@@ -1,12 +1,14 @@
 """Pure-python/numpy reference backend for the kernel ABI.
 
-These are the original hot-loop implementations *extracted* from
-:mod:`repro.flow.maxflow`, :mod:`repro.hgpt.dp` and
-:mod:`repro.graph.spectral`, plus a sort-free ``heavy_edge_match``
-checked against its lexsort original in ``tests/kernels/reference.py``.
-They define the bit-exact contract every other backend must match
-(``tests/kernels/test_backends.py``), so changes here are semantic
-changes to the solver.
+The Dinic kernels and ``csr_matvec`` are the original hot loops
+*extracted* from :mod:`repro.flow.maxflow` and
+:mod:`repro.graph.spectral`.  ``heavy_edge_match`` (sort-free) and the
+two DP kernels from :mod:`repro.hgpt.dp` (whole-array masks in place of
+per-pair gathers and a per-row loop) are rewrites, each checked for
+exact equality against the original it replaced, kept in
+``tests/kernels/reference.py``.  They define the bit-exact contract
+every other backend must match (``tests/kernels/test_backends.py``), so
+changes here are semantic changes to the solver.
 """
 
 from __future__ import annotations
@@ -156,32 +158,44 @@ def dp_tile_merge(
     n_ok)`` — the capacity-feasible pairs (in ascending rank order) and
     the count of pairs that survived the ``budget`` mask (feasible or
     not), for the caller's pruning stats.
+
+    The rows of A the tile touches are broadcast against all of B as
+    one block; ranks outside the tile, pairs over budget and pairs over
+    any level's capacity are masked out, so index gathers and signature
+    sums are paid for feasible pairs only.
     """
+    if stop <= start:
+        return _empty_tile(caps.size, pa_sig.dtype)
     nb = pb_cost.size
-    idx = np.arange(start, stop, dtype=np.int64)
-    ii = idx // nb
-    jj = idx - ii * nb
-    costs = pa_cost[ii] + pb_cost[jj]
+    r0, r1 = start // nb, (stop - 1) // nb + 1
+    costs = pa_cost[r0:r1, None] + pb_cost[None, :]
+    ok = np.ones(costs.shape, dtype=bool)
+    ok[0, : start - r0 * nb] = False
+    ok[-1, stop - (r1 - 1) * nb :] = False
     if budget < math.inf:
-        ok = costs <= budget
-        n_ok = int(np.count_nonzero(ok))
-        if n_ok < idx.size:
-            ii, jj, costs, idx = ii[ok], jj[ok], costs[ok], idx[ok]
-    else:
-        n_ok = int(idx.size)
+        ok &= costs <= budget
+    n_ok = int(np.count_nonzero(ok))
     if n_ok == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return (
-            np.empty((0, caps.size), dtype=pa_sig.dtype),
-            np.empty(0, dtype=np.float64),
-            empty,
-            empty,
-            empty.copy(),
-            0,
-        )
-    sums = pa_sig[ii] + pb_sig[jj]
-    feas = (sums <= caps).all(axis=1)
-    return sums[feas], costs[feas], ii[feas], jj[feas], idx[feas], n_ok
+        return _empty_tile(caps.size, pa_sig.dtype)
+    for i in range(caps.size):
+        ok &= pa_sig[r0:r1, None, i] + pb_sig[None, :, i] <= caps[i]
+    ii, jj = np.nonzero(ok)
+    costs = costs[ii, jj]
+    ii += r0
+    return pa_sig[ii] + pb_sig[jj], costs, ii, jj, ii * nb + jj, n_ok
+
+
+def _empty_tile(h: int, sig_dtype: np.dtype) -> tuple:
+    """``dp_tile_merge``'s result for a tile with no pair within budget."""
+    empty = np.empty(0, dtype=np.int64)
+    return (
+        np.empty((0, h), dtype=sig_dtype),
+        np.empty(0, dtype=np.float64),
+        empty,
+        empty,
+        empty.copy(),
+        0,
+    )
 
 
 #: Candidate rows per vectorised dominance block (h >= 3 scan).
@@ -206,12 +220,13 @@ def dp_dominance_prune(
     kept signatures form an antichain — for ``h ≤ 2`` that is a monotone
     staircase, so dominance queries become binary searches (O(m log m)
     total) instead of the generic O(m · kept) scan.  For ``h ≥ 3`` the
-    scan is blocked: a whole block is checked against every previously
-    kept signature in one vectorised comparison, and only rows that
-    survive it (final survivors plus rows dominated solely inside their
-    own block — transitivity guarantees nothing else slips through)
-    reach the sequential pass, which then compares against block-local
-    keeps only.
+    scan is blocked: a whole block is first checked against every
+    previously kept signature in one vectorised comparison, then its
+    survivors against each other in one comparison under a strict
+    upper-triangular mask, dropping a survivor that an earlier survivor
+    of the block is ≤.  By transitivity that equals "≤ an earlier kept
+    row": a dropped survivor was dropped by a kept one, which dominates
+    too.  A beam keeps the block's first ``beam − kept`` survivors.
     """
     m = costs.size
     h = sigs.shape[1]
@@ -260,6 +275,7 @@ def dp_dominance_prune(
     else:
         sorted_sigs = sigs[order]
         kept_rows = np.empty((m, h), dtype=sigs.dtype)
+        kept_pos = [np.empty(0, dtype=np.int64)]
         n_kept = 0
         for s in range(0, m, _DOM_BLOCK):
             block = sorted_sigs[s:s + _DOM_BLOCK]
@@ -270,24 +286,29 @@ def dp_dominance_prune(
                 dom = np.ones((n_kept, block.shape[0]), dtype=bool)
                 for i in range(h):
                     dom &= kept_rows[:n_kept, i, None] <= block[None, :, i]
-                survivors = np.nonzero(~dom.any(axis=0))[0]
+                survivors = np.flatnonzero(~dom.any(axis=0))
             else:
                 survivors = np.arange(block.shape[0])
-            block_start = n_kept
-            for t in survivors:
-                sig = block[t]
-                if n_kept > block_start and bool(
-                    np.all(kept_rows[block_start:n_kept] <= sig, axis=1).any()
-                ):
-                    continue
-                kept_rows[n_kept] = sig
-                kept_idx.append(int(order[s + t]))
-                n_kept += 1
-                if beam is not None and n_kept >= beam:
-                    truncated = True
-                    break
+            cand = block[survivors]
+            if cand.shape[0] > 1:
+                # below[p, q]: survivor p precedes survivor q and is <= it.
+                rank = np.arange(cand.shape[0])
+                below = rank[:, None] < rank[None, :]
+                for i in range(h):
+                    below &= cand[:, None, i] <= cand[None, :, i]
+                fresh = ~below.any(axis=0)
+                survivors, cand = survivors[fresh], cand[fresh]
+            if beam is not None and survivors.size and n_kept + survivors.size >= beam:
+                # Like the h <= 2 scans, a beam of 0 keeps one row.
+                cut = max(beam - n_kept, 1)
+                survivors, cand = survivors[:cut], cand[:cut]
+                truncated = True
+            kept_rows[n_kept:n_kept + cand.shape[0]] = cand
+            kept_pos.append(order[s + survivors])
+            n_kept += cand.shape[0]
             if truncated:
                 break
+        return np.concatenate(kept_pos).astype(np.int64, copy=False), truncated
     return np.asarray(kept_idx, dtype=np.int64), truncated
 
 

@@ -58,7 +58,7 @@ class TestDPConfigField:
         cfg = SolverConfig()
         assert cfg.dp.tile_size > 0
         assert cfg.dp.bound_pruning is True
-        assert cfg.dp.parallel_subtrees is False
+        assert cfg.dp.incumbent_beam == 256
 
     def test_custom_dp_config(self):
         from repro.hgpt.dp import DPConfig
@@ -71,4 +71,4 @@ class TestDPConfigField:
         desc = SolverConfig().describe()
         assert desc["dp"]["tile_size"] == SolverConfig().dp.tile_size
         assert "bound_pruning" in desc["dp"]
-        assert "parallel_subtrees" in desc["dp"]
+        assert "incumbent_beam" in desc["dp"]

@@ -125,21 +125,26 @@ class TestDominancePrune:
         """Cheaper-but-larger and costlier-but-smaller must both survive."""
         sigs = np.array([[3, 3], [1, 1]], dtype=np.int64)
         costs = np.array([1.0, 2.0])
-        kept = _dominance_prune(sigs, costs, None)
-        assert len(kept) == 2
+        uniq, ucosts, _ = _dedupe_min(sigs, costs)
+        kept = _dominance_prune(uniq, ucosts, None)
+        assert {tuple(uniq[i]) for i in kept.tolist()} == {(3, 3), (1, 1)}
 
     def test_beam_keeps_most_closed(self):
         sigs = np.array([[5, 5], [4, 4], [3, 3], [0, 0]], dtype=np.int64)
         costs = np.array([0.0, 1.0, 2.0, 50.0])
-        kept = _dominance_prune(sigs, costs, beam_width=2)
-        kept_sigs = {tuple(sigs[i]) for i in kept.tolist()}
+        uniq, ucosts, _ = _dedupe_min(sigs, costs)
+        kept = _dominance_prune(uniq, ucosts, beam_width=2)
+        kept_sigs = {tuple(uniq[i]) for i in kept.tolist()}
         assert (0, 0) in kept_sigs  # flexibility guard
 
     def test_beam_width_respected_plus_guard(self):
         sigs = np.array([[5, 1], [4, 2], [3, 3], [2, 4], [1, 5]], dtype=np.int64)
         costs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        kept = _dominance_prune(sigs, costs, beam_width=2)
-        assert 2 <= len(kept) <= 3
+        uniq, ucosts, _ = _dedupe_min(sigs, costs)
+        kept = _dominance_prune(uniq, ucosts, beam_width=2)
+        # The two cheapest rows fill the beam; every sum is 6, so the
+        # guard is the lexicographically smallest row.
+        assert [tuple(uniq[i]) for i in kept.tolist()] == [(5, 1), (4, 2), (1, 5)]
 
 
 class TestProject:

@@ -1,9 +1,9 @@
 """Equivalence and admissibility tests for the bounded/tiled DP kernel.
 
 The kernel's contract is that every :class:`DPConfig` knob combination —
-tiling (including tiny tiles that force mid-merge compaction), incumbent
-bound pruning, and subtree parallelism — returns solution costs
-identical to the exhaustive legacy merge.  These tests pin that contract
+tiling (including tiny tiles that force mid-merge compaction) and
+incumbent bound pruning — returns solution costs identical to the
+exhaustive legacy merge.  These tests pin that contract
 with hypothesis-generated random trees plus the lower-bound invariant
 backing the pruning (``sub_lb(v)`` never exceeds the true cost of any
 state at ``v``).
@@ -17,9 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidInputError
-from repro.graph.generators import grid_2d
-from repro.decomposition.spectral_tree import spectral_decomposition_tree
-from repro.hgpt.binarize import binarize
 from repro.hgpt.dp import (
     DPConfig,
     DPStats,
@@ -29,8 +26,8 @@ from repro.hgpt.dp import (
 )
 from repro.bench.oracles import brute_force_optimum, path_binary_tree
 
-#: The pre-kernel reference semantics: untiled, unbounded, serial.
-LEGACY = DPConfig(tile_size=0, bound_pruning=False, parallel_subtrees=False)
+#: The pre-kernel reference semantics: untiled, unbounded.
+LEGACY = DPConfig(tile_size=0, bound_pruning=False)
 
 #: Knob combinations that must all match LEGACY's costs exactly.
 VARIANTS = [
@@ -110,27 +107,6 @@ class TestKernelEquivalence:
         sol = solve_rhgpt(bt, caps, deltas)  # shipped default config
         assert sol.cost == pytest.approx(brute_force_optimum(bt, caps, deltas))
 
-    def test_parallel_subtrees_match_serial(self):
-        g = grid_2d(4, 5, weight_range=(0.5, 2.0), seed=3)
-        tree = spectral_decomposition_tree(g, seed=3)
-        q = np.full(g.n, 2, dtype=np.int64)
-        bt = binarize(tree, q)
-        caps = [2 * g.n, 8]
-        deltas = [0.0, 2.0, 1.0]
-        serial = solve_rhgpt(bt, caps, deltas, dp_config=LEGACY)
-        par_cfg = DPConfig(
-            parallel_subtrees=True,
-            parallel_workers=2,
-            parallel_threshold=8,
-            parallel_min_nodes=4,
-        )
-        stats = DPStats()
-        parallel = solve_rhgpt(bt, caps, deltas, stats=stats, dp_config=par_cfg)
-        assert parallel.cost == serial.cost
-        # Worker counters travel back and fold into the caller's stats.
-        assert stats.nodes == bt.n_nodes
-        assert stats.states_total > 0
-
 
 class TestLowerBoundAdmissibility:
     @given(random_instance())
@@ -171,12 +147,6 @@ class TestDPConfigValidation:
     def test_rejects_bad_knobs(self):
         with pytest.raises(InvalidInputError):
             DPConfig(tile_size=-1)
-        with pytest.raises(InvalidInputError):
-            DPConfig(parallel_workers=-1)
-        with pytest.raises(InvalidInputError):
-            DPConfig(parallel_threshold=-2)
-        with pytest.raises(InvalidInputError):
-            DPConfig(parallel_min_nodes=0)
         with pytest.raises(InvalidInputError):
             DPConfig(incumbent_beam=0)
 

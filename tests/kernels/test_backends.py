@@ -183,7 +183,8 @@ class TestCrossBackendEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_dp_dominance_prune(self, seed):
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 45))
+        # Up to 700 rows, so the python h >= 3 scan spans several blocks.
+        m = int(rng.integers(1, 700))
         h = int(rng.integers(1, 5))
         sigs = rng.integers(0, 6, size=(m, h)).astype(np.int64)
         # Integer costs produce ties, exercising scan-order stability.
