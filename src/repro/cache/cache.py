@@ -56,6 +56,8 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.testing.faults import maybe_inject
+
 
 def _registry():
     # Imported lazily: repro.obs's package __init__ reaches (via
@@ -551,12 +553,9 @@ class SolverCache:
         path = self._disk_path(kind, key)
         if path is None or not path.exists():
             return _MISSING
-        if os.environ.get("REPRO_FAULT_SPEC"):
-            # Chaos hook: cache_corrupt overwrites the entry on disk so
-            # the *real* recovery path below handles the garbage.
-            from repro.testing.faults import maybe_inject
-
-            maybe_inject("cache", kind=kind, path=str(path))
+        # Chaos hook: cache_corrupt overwrites the entry on disk so the
+        # *real* recovery path below handles the garbage.
+        maybe_inject("cache", kind=kind, path=str(path))
         try:
             with open(path, "rb") as fh:
                 return pickle.load(fh)

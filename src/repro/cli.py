@@ -200,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-incremental",
         action="store_true",
         help="skip the subtree-DP memo (the subtree_tables cache tier) "
-        "for this run; results are bit-identical either way "
-        "(REPRO_INCREMENTAL=0 is the env equivalent)",
+        "for this run; results are bit-identical either way",
     )
     solve.add_argument(
         "--multilevel",

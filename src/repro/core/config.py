@@ -31,25 +31,13 @@ class IncrementalConfig:
         its subtree digest, so a re-solve after a local graph delta
         rebuilds only the dirty spine.  Warm results are bit-identical
         to cold ones by construction (a hit returns exactly what the
-        rebuild would produce).  Overridable per run with
-        ``repro solve --no-incremental`` or ``REPRO_INCREMENTAL=0``.
-    max_dirty_frac:
-        :class:`repro.streaming.online.OnlinePlacer` gate: when the
-        fraction of live tasks touched by churn since the last
-        reoptimize exceeds this, the reopt runs as a plain full solve
-        (no memo probes) — with most subtrees dirty, per-node lookups
-        are pure overhead.  The gate is a performance heuristic only;
-        placements are identical either way.
+        rebuild would produce).  ``repro solve --no-incremental`` turns
+        it off for one run.  Streaming reoptimizes additionally skip the
+        memo when most tasks are dirty
+        (:data:`repro.streaming.online.MAX_DIRTY_FRAC`).
     """
 
     enabled: bool = True
-    max_dirty_frac: float = 0.25
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.max_dirty_frac <= 1):
-            raise InvalidInputError(
-                f"max_dirty_frac must be in [0, 1], got {self.max_dirty_frac}"
-            )
 
 
 @dataclass(frozen=True)
@@ -183,11 +171,9 @@ class SolverConfig:
     incremental:
         Incremental warm-path knobs (:class:`IncrementalConfig`):
         whether DP solves memoise per-subtree state tables in the
-        ``subtree_tables`` cache tier, and the dirty-fraction threshold
-        above which streaming reoptimizes fall back to plain full
-        solves.  The effective mode (after the ``REPRO_INCREMENTAL``
-        env override) is stamped into the run report as
-        ``incremental``.
+        ``subtree_tables`` cache tier.  The effective mode (the memo
+        also needs the solver cache on) is stamped into the run report
+        as ``incremental``.
     """
 
     n_trees: int = 8

@@ -73,7 +73,11 @@ from repro.core.telemetry import (
     mark_active,
 )
 from repro.obs.logging import NULL_LOGGER, StructuredLogger, new_run_id
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import (
+    DEFAULT_BYTE_BUCKETS,
+    DEFAULT_SIZE_BUCKETS,
+    get_registry,
+)
 
 __all__ = [
     "STAGE_NAMES",
@@ -88,6 +92,7 @@ __all__ = [
     "RefineStage",
     "Engine",
     "solve_member",
+    "publish_member_metrics",
     "run_pipeline",
     "validate_instance",
     "incremental_enabled",
@@ -101,17 +106,12 @@ STAGE_NAMES = ("trees", "quantize", "dp", "repair", "refine")
 def incremental_enabled(config: SolverConfig) -> bool:
     """Whether this run's DP solves use the subtree-table memo.
 
-    ``REPRO_INCREMENTAL`` overrides ``config.incremental.enabled`` in
-    either direction (``0``/``false``/``off`` disable, anything else
-    enables).  The memo additionally requires the solver cache itself to
-    be on — the ``subtree_tables`` tier lives inside it.
+    Set by ``config.incremental.enabled`` (``repro solve
+    --no-incremental`` turns it off).  The memo additionally requires
+    the solver cache itself to be on — the ``subtree_tables`` tier lives
+    inside it.
     """
-    inc = getattr(config, "incremental", None)
-    enabled = bool(inc.enabled) if inc is not None else False
-    env = os.environ.get("REPRO_INCREMENTAL")
-    if env is not None:
-        enabled = env.strip().lower() not in ("0", "false", "no", "off", "")
-    return enabled and config.cache.enabled
+    return config.incremental.enabled and config.cache.enabled
 
 
 # ----------------------------------------------------------------------
@@ -573,6 +573,97 @@ def solve_member(
     )
 
 
+def publish_member_metrics(records: Sequence[MemberRecord]) -> None:
+    """Publish solved members' DP and subtree-memo metrics from their records.
+
+    The :class:`MemberRecord` is the one carrier of a member's DP facts
+    across the process boundary, so whichever process receives the
+    records publishes them — :meth:`Engine.run` after the fan-out, guided
+    iteration per round, :func:`repro.core.solver.solve_hgpt` per call.
+    Every path (serial, pool, retried, serial fallback) returns exactly
+    one record per solved member, so totals do not depend on ``n_jobs``.
+    The counters sum each record's :class:`repro.hgpt.dp.DPStats` totals
+    (accumulated across beam escalations); ``repro_dp_seconds`` observes
+    the member's whole DP phase, the same measurement as the ``dp`` span.
+    """
+    metrics = get_registry()
+    metrics.counter(
+        "repro_dp_solves_total", "Completed signature-DP solves"
+    ).inc(len(records))
+    for family, field_name in (
+        (
+            metrics.counter(
+                "repro_dp_nodes_total", "Binary-tree nodes processed by the DP"
+            ),
+            "dp_nodes",
+        ),
+        (
+            metrics.counter(
+                "repro_dp_states_total", "DP states created across all nodes"
+            ),
+            "dp_states_total",
+        ),
+        (
+            metrics.counter(
+                "repro_dp_merges_total", "Pairwise signature merges evaluated"
+            ),
+            "dp_merges",
+        ),
+        (
+            metrics.counter(
+                "repro_dp_tiles_total", "Merge tiles streamed by the DP kernel"
+            ),
+            "dp_tiles",
+        ),
+        (
+            metrics.counter(
+                "repro_dp_bound_pruned_total",
+                "States dropped by incumbent-bound pruning",
+            ),
+            "dp_bound_pruned",
+        ),
+        (
+            metrics.counter(
+                "repro_incremental_subtree_hits_total",
+                "Subtree DP tables served from the subtree_tables memo",
+            ),
+            "dp_memo_hits",
+        ),
+        (
+            metrics.counter(
+                "repro_incremental_subtree_misses_total",
+                "Subtree DP tables rebuilt and stored by the memo",
+            ),
+            "dp_memo_misses",
+        ),
+        (
+            metrics.counter(
+                "repro_dp_beam_escalations_total",
+                "Beam widenings needed before the DP found a feasible state",
+            ),
+            "beam_escalations",
+        ),
+    ):
+        family.inc(sum(getattr(r, field_name) for r in records))
+    states_max = metrics.histogram(
+        "repro_dp_states_max",
+        "Largest per-node state table of one DP solve",
+        buckets=DEFAULT_SIZE_BUCKETS,
+    )
+    peak_bytes = metrics.histogram(
+        "repro_dp_table_peak_bytes",
+        "Peak live merge-table bytes of one DP solve",
+        buckets=DEFAULT_BYTE_BUCKETS,
+    )
+    dp_seconds = metrics.histogram(
+        "repro_dp_seconds", "Wall-clock seconds of one DP solve"
+    )
+    for r in records:
+        states_max.observe(r.dp_states_max)
+        peak_bytes.observe(r.dp_table_peak_bytes)
+        dp_seconds.observe(r.dp_seconds)
+
+
 # ----------------------------------------------------------------------
 # engine + result
 # ----------------------------------------------------------------------
@@ -685,52 +776,21 @@ class Engine:
 
         outcomes, failures, _restarts = run_members(ctx, base)
 
-        metrics = get_registry()
-        process_label = bool(os.environ.get("REPRO_METRICS_PROCESS_LABEL"))
-        escalations = 0
-        worker_merges = 0
+        records = [o.record for o in outcomes]
         for outcome in outcomes:
-            # Pool workers bracket their solve with registry snapshots
-            # and ship the per-job delta home on the record; fold it in
-            # (counters sum, gauges last-write, histograms bucket-wise)
-            # so repro_dp_*/repro_flow_* totals are correct for parallel
-            # runs.  Serial members incremented this registry directly
-            # and carry no delta.  The delta is nulled afterwards so run
-            # reports stay lean.
-            delta = outcome.record.metrics_delta
-            if delta:
-                proc = delta.get("pid") if process_label else None
-                metrics.merge_snapshot(
-                    delta, process=None if proc is None else str(proc)
-                )
-                worker_merges += 1
-                outcome.record.metrics_delta = None
             tel.record_member(outcome.record)
-            escalations += outcome.record.beam_escalations
             if ctx.logger.enabled:
                 for record in outcome.log_records:
                     ctx.logger.emit(record)
-        if worker_merges:
-            metrics.counter(
-                "repro_metrics_worker_merges_total",
-                "Worker metric deltas merged into the parent registry",
-            ).inc(worker_merges)
         # Fold the members' self-measured phase seconds (worker-side for
         # the pool path) into this run's dp/repair spans.
-        records = [o.record for o in outcomes]
         tel.add_seconds("dp", sum(r.dp_seconds for r in records), len(records))
         tel.add_seconds(
             "repair", sum(r.repair_seconds for r in records), len(records)
         )
         for failure in failures:
             tel.record_failure(failure)
-        # Parent-side metric fold: member counters travelled back with the
-        # records, so these totals are accurate even for pool runs.
-        if escalations:
-            metrics.counter(
-                "repro_dp_beam_escalations_total",
-                "Beam widenings needed before the DP found a feasible state",
-            ).inc(escalations)
+        publish_member_metrics(records)
 
         best: Optional[MemberOutcome] = None
         for outcome in outcomes:
@@ -744,7 +804,7 @@ class Engine:
         ctx.placement = ctx.placement.with_meta(
             solver="hgp", config=ctx.config.describe()
         )
-        metrics.counter(
+        get_registry().counter(
             "repro_engine_runs_total",
             "Completed engine runs by solve path",
             labelnames=("path",),
@@ -756,7 +816,7 @@ class Engine:
             seconds=time.perf_counter() - started,
             members=len(outcomes),
             failed_members=len(failures),
-            beam_escalations=escalations,
+            beam_escalations=sum(r.beam_escalations for r in records),
         )
         return EngineResult(
             placement=ctx.placement,

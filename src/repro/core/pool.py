@@ -44,7 +44,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.obs.metrics import get_registry, snapshot_delta
+from repro.obs.metrics import get_registry
+from repro.testing.faults import maybe_inject
 
 __all__ = [
     "GenerationRef",
@@ -60,14 +61,6 @@ __all__ = [
     "member_job",
 ]
 
-
-def _maybe_inject(site: str, **context) -> None:
-    """Env-gated chaos hook (no-op unless ``REPRO_FAULT_SPEC`` is set)."""
-    if not os.environ.get("REPRO_FAULT_SPEC"):
-        return
-    from repro.testing.faults import maybe_inject
-
-    maybe_inject(site, **context)
 
 _LOCK = threading.RLock()
 _POOL: Optional[cf.ProcessPoolExecutor] = None
@@ -348,20 +341,12 @@ def member_job(args: Tuple[GenerationRef, int, int, int]):
     ``REPRO_FAULT_SPEC`` is set.
     """
     ref, member, index, attempt = args
-    _maybe_inject("spool", member=member, attempt=attempt, in_worker=True)
+    maybe_inject("spool", member=member, attempt=attempt, in_worker=True)
     payload = _load_generation(ref)
-    _maybe_inject("member", member=member, attempt=attempt, in_worker=True)
+    maybe_inject("member", member=member, attempt=attempt, in_worker=True)
     from repro.core.engine import solve_member
 
-    # Bracket the solve with registry snapshots: fork workers inherit
-    # the parent's registry state, so the shippable quantity is the
-    # *per-job* delta, not the worker's absolute totals.  The delta
-    # rides home on the outcome's MemberRecord and the parent engine
-    # merges it — without this, everything the hot paths increment in
-    # a worker dies with the fork.
-    registry = get_registry()
-    base = registry.snapshot()
-    outcome = solve_member(
+    return solve_member(
         payload["trees"][member],
         payload["hierarchy"],
         payload["demands"],
@@ -371,8 +356,3 @@ def member_job(args: Tuple[GenerationRef, int, int, int]):
         run_id=payload["run_id"],
         attempt=attempt,
     )
-    try:
-        outcome.record.metrics_delta = snapshot_delta(registry.snapshot(), base)
-    except Exception:
-        pass  # a malformed delta must never fail the member solve
-    return outcome

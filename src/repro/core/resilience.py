@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import concurrent.futures as cf
 import hashlib
-import os
 import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
@@ -46,20 +45,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.errors import DegradedRunError, InvalidInputError
 from repro.core.telemetry import MemberFailure
 from repro.obs.metrics import get_registry
+from repro.testing.faults import maybe_inject
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.core.engine import MemberOutcome, RunContext
 
 __all__ = ["RetryPolicy", "ResilienceConfig", "run_members"]
-
-
-def _maybe_inject(site: str, **context) -> None:
-    """Env-gated chaos hook (no-op unless ``REPRO_FAULT_SPEC`` is set)."""
-    if not os.environ.get("REPRO_FAULT_SPEC"):
-        return
-    from repro.testing.faults import maybe_inject
-
-    maybe_inject(site, **context)
 
 
 @dataclass(frozen=True)
@@ -198,12 +189,6 @@ def _pool_attempt(
     position to ``(kind, exception)`` for this wave only.  The pool is
     force-restarted (workers terminated, executor rebuilt) when a crash
     broke it or the wave deadline expired with futures still running.
-
-    Metric semantics: each solved outcome carries the worker's per-job
-    registry delta (attached by ``member_job``).  Failed attempts return
-    no outcome, so whatever a crashed/hung worker incremented before
-    dying is deliberately dropped — the successful retry's delta is the
-    single source of truth for that member.
     """
     assert ctx.trees is not None
     executor = worker_pool.get_pool(min(ctx.config.n_jobs, len(ctx.trees)))
@@ -279,16 +264,6 @@ def _serial_attempt(
     With ``catch=False`` (single-attempt policy, no partial completion)
     exceptions propagate raw, preserving the pre-resilience serial
     behaviour exactly.
-
-    Metric semantics: this path increments the parent registry
-    *directly*, so the outcomes it returns carry no ``metrics_delta`` —
-    the engine's delta-merge loop skips them and totals stay exact.
-    Deltas only ever cross a process boundary (attached by
-    :func:`repro.core.pool.member_job`); attaching one here too would
-    double-count.  Pool waves retried after :func:`restart_pool` go
-    through ``member_job`` in the fresh pool and keep their deltas, so
-    every recovery route lands in the same merge path exactly once —
-    asserted by the chaos-matrix metric-total tests.
     """
     from repro.core.engine import solve_member
 
@@ -296,7 +271,7 @@ def _serial_attempt(
     failed: Dict[int, Tuple[str, BaseException]] = {}
     for m in members:
         try:
-            _maybe_inject("member", member=m, attempt=attempt, in_worker=False)
+            maybe_inject("member", member=m, attempt=attempt, in_worker=False)
             solved[m] = solve_member(
                 ctx.trees[m],
                 ctx.hierarchy,

@@ -41,6 +41,7 @@ from repro.core.config import SolverConfig
 from repro.core.engine import (
     EngineResult,
     make_grid,
+    publish_member_metrics,
     run_pipeline,
     solve_member,
     validate_instance,
@@ -70,6 +71,7 @@ def solve_hgpt(
     if grid is None:
         grid = make_grid(hierarchy, d, config)
     outcome = solve_member(tree, hierarchy, d, config, grid, stats=stats)
+    publish_member_metrics([outcome.record])
     return outcome.placement, outcome.dp_cost
 
 

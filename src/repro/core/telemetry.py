@@ -182,11 +182,17 @@ class Span:
 class MemberRecord:
     """Per-ensemble-member diagnostics (picklable; workers return these).
 
-    ``dp_nodes`` / ``dp_states_total`` / ``dp_states_max`` / ``dp_merges``
-    mirror :class:`repro.hgpt.dp.DPStats`; ``beam_escalations`` counts how
-    often the beam had to widen before the DP found a feasible state;
-    ``attempts`` is which solve attempt produced this record (1 = first
-    try, >1 = the member was retried by the resilience layer).
+    The ``dp_*`` counters mirror the member's
+    :class:`repro.hgpt.dp.DPStats` totals, accumulated across beam
+    escalations; ``beam_escalations`` counts how often the beam had to
+    widen before the DP found a feasible state; ``attempts`` is which
+    solve attempt produced this record (1 = first try, >1 = the member
+    was retried by the resilience layer).
+
+    The record is the only carrier of a member's DP facts across the
+    process boundary: the process that receives it publishes the
+    ``repro_dp_*`` and ``repro_incremental_subtree_*`` metrics from it
+    (:func:`repro.core.engine.publish_member_metrics`).
     """
 
     index: int
@@ -206,23 +212,14 @@ class MemberRecord:
     dp_table_peak_bytes: int = 0
     dp_memo_hits: int = 0
     dp_memo_misses: int = 0
-    #: Per-job metrics-registry delta captured in the pool worker
-    #: (:func:`repro.obs.metrics.snapshot_delta` format).  The engine
-    #: merges it into the parent registry and nulls it out before the
-    #: record lands in a run report, so persisted reports stay lean.
-    metrics_delta: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        """JSON-ready flat-dict view of this record (delta excluded)."""
-        data = asdict(self)
-        data.pop("metrics_delta", None)
-        return data
+        """JSON-ready flat-dict view of this record."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MemberRecord":
         """Rebuild a record from :meth:`to_dict` output."""
-        data = dict(data)
-        data.pop("metrics_delta", None)
         return cls(**data)
 
 

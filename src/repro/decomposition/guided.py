@@ -133,7 +133,11 @@ def solve_hgp_iterated(
         how many rounds actually improved.
     """
     from repro.core.config import SolverConfig
-    from repro.core.engine import run_pipeline, solve_member
+    from repro.core.engine import (
+        publish_member_metrics,
+        run_pipeline,
+        solve_member,
+    )
     from repro.core.telemetry import Telemetry
 
     cfg = config if config is not None else SolverConfig()
@@ -151,6 +155,7 @@ def solve_hgp_iterated(
         tel.add_seconds("dp", outcome.record.dp_seconds)
         tel.add_seconds("repair", outcome.record.repair_seconds)
         tel.record_member(outcome.record)
+        publish_member_metrics([outcome.record])
         placement = outcome.placement
         if cfg.refine and cfg.refine_passes > 0:
             from repro.baselines.local_search import refine_placement

@@ -81,12 +81,15 @@ Semantics:
   kept state reconstructs to a valid solution.  Incumbent-bound pruning
   is disabled under a beam so beamed state selection (and therefore
   beamed results) stay bit-identical to the pre-kernel implementation.
+
+The solver publishes no metrics: its counters go into the caller's
+:class:`DPStats`, and the engine publishes them from each member's
+record (:func:`repro.core.engine.publish_member_metrics`).
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -96,11 +99,6 @@ import repro.kernels as kernels
 from repro.errors import InvalidInputError, SolverError
 from repro.hgpt.binarize import BinaryTree
 from repro.hgpt.solution import LevelSet, TreeSolution
-from repro.obs.metrics import (
-    DEFAULT_BYTE_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
-    get_registry,
-)
 
 __all__ = [
     "solve_rhgpt",
@@ -160,96 +158,6 @@ _DEFAULT_CONFIG = DPConfig()
 
 #: Kernel-off reference configuration (the pre-kernel merge semantics).
 _LEGACY_CONFIG = DPConfig(tile_size=0, bound_pruning=False)
-
-
-#: Hoisted metric-family handles (lazy — the registry may be reset or
-#: absent at import): one tuple lookup per solve instead of nine
-#: registry find-or-create calls.  Keyed on ``(registry, generation)``
-#: so a test-side ``reset()`` invalidates the cache instead of leaving
-#: orphaned families.
-_DP_METRIC_HANDLES: Optional[tuple] = None
-
-
-def _dp_metric_handles() -> tuple:
-    global _DP_METRIC_HANDLES
-    metrics = get_registry()
-    cached = _DP_METRIC_HANDLES
-    if cached is not None and cached[0] is metrics and cached[1] == metrics.generation:
-        return cached[2]
-    handles = (
-            metrics.counter(
-                "repro_dp_solves_total", "Completed signature-DP solves"
-            ),
-            metrics.counter(
-                "repro_dp_nodes_total", "Binary-tree nodes processed by the DP"
-            ),
-            metrics.counter(
-                "repro_dp_states_total", "DP states created across all nodes"
-            ),
-            metrics.counter(
-                "repro_dp_merges_total", "Pairwise signature merges evaluated"
-            ),
-            metrics.counter(
-                "repro_dp_tiles_total", "Merge tiles streamed by the DP kernel"
-            ),
-            metrics.counter(
-                "repro_dp_bound_pruned_total",
-                "States dropped by incumbent-bound pruning",
-            ),
-            metrics.counter(
-                "repro_incremental_subtree_hits_total",
-                "Subtree DP tables served from the subtree_tables memo",
-            ),
-            metrics.counter(
-                "repro_incremental_subtree_misses_total",
-                "Subtree DP tables rebuilt and stored by the memo",
-            ),
-            metrics.histogram(
-                "repro_dp_states_max",
-                "Largest per-node state table of one DP solve",
-                buckets=DEFAULT_SIZE_BUCKETS,
-            ),
-            metrics.histogram(
-                "repro_dp_table_peak_bytes",
-                "Peak live merge-table bytes of one DP solve",
-                buckets=DEFAULT_BYTE_BUCKETS,
-            ),
-            metrics.histogram(
-                "repro_dp_seconds", "Wall-clock seconds of one DP solve"
-            ),
-        )
-    _DP_METRIC_HANDLES = (metrics, metrics.generation, handles)
-    return handles
-
-
-def _publish_dp_metrics(stats: "DPStats", seconds: float) -> None:
-    """Fold one DP run's counters into the process-local metrics registry."""
-    (
-        solves,
-        nodes,
-        states,
-        merges,
-        tiles,
-        bound_pruned,
-        memo_hits,
-        memo_misses,
-        states_max,
-        peak_bytes,
-        dp_seconds,
-    ) = _dp_metric_handles()
-    solves.inc()
-    nodes.inc(stats.nodes)
-    states.inc(stats.states_total)
-    merges.inc(stats.merges)
-    tiles.inc(stats.tiles)
-    bound_pruned.inc(stats.bound_pruned)
-    if stats.memo_hits:
-        memo_hits.inc(stats.memo_hits)
-    if stats.memo_misses:
-        memo_misses.inc(stats.memo_misses)
-    states_max.observe(stats.states_max)
-    peak_bytes.observe(stats.table_peak_bytes)
-    dp_seconds.observe(seconds)
 
 
 class DPStats:
@@ -839,7 +747,8 @@ def solve_rhgpt(
     beam_width:
         Optional cap on states kept per node (exact when ``None``).
     stats:
-        Optional counter object filled during the run.
+        Optional counter object the run adds its counts to (nothing
+        else is written: the solver publishes no metrics).
     dp_config:
         Merge-kernel knobs (``None`` = the tiled, bound-pruned default;
         see :class:`DPConfig`).  All combinations return identical
@@ -863,6 +772,13 @@ def solve_rhgpt(
     SolverError
         If no feasible state survives at the root (cannot happen when the
         demand grid admitted the instance — signals a bug).
+
+    Notes
+    -----
+    The solve has no registry side effects.  Members solved through the
+    engine publish their ``repro_dp_*`` metrics from their member records
+    (:func:`repro.core.engine.publish_member_metrics`); a direct call
+    publishes nothing.
     """
     h = len(caps)
     if len(deltas) != h + 1:
@@ -875,10 +791,7 @@ def solve_rhgpt(
     deltas_arr = np.asarray(deltas, dtype=np.float64)
     cfg = dp_config if dp_config is not None else _DEFAULT_CONFIG
 
-    # Track counters even when the caller passed no collector, so the
-    # metrics registry sees every solve.
     own_stats = stats if stats is not None else DPStats()
-    t0 = time.perf_counter()
 
     # Incumbent-bound pruning (exact solves only — see module docstring):
     # a beamed pre-pass seeds the upper bound, the lower-bound passes
@@ -948,7 +861,6 @@ def solve_rhgpt(
     best = int(order[0])
     solution = _rebuild(bt, tables, best, h)
     solution.cost = float(root_table.costs[best])
-    _publish_dp_metrics(own_stats, time.perf_counter() - t0)
     return solution
 
 

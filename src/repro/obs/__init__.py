@@ -3,8 +3,8 @@
 Turns the engine's write-only telemetry into operator-facing artifacts:
 
 * :mod:`repro.obs.metrics` — process-local counters / gauges / bounded
-  histograms with Prometheus text exposition; the DP, flow and online
-  hot paths publish here.
+  histograms with Prometheus text exposition; the engine, flow, cache
+  and online hot paths publish here.
 * :mod:`repro.obs.logging` — JSON-lines structured logging with a
   per-run correlation id that survives process-pool hops.
 * :mod:`repro.obs.trace` — run reports → Chrome trace-event JSON with
@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    snapshot_delta,
 )
 from repro.obs.profile import (
     ProfileConfig,
@@ -58,7 +57,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "snapshot_delta",
     "ProfileConfig",
     "ProfileSession",
     "SamplingProfiler",

@@ -17,18 +17,16 @@ returns (find-or-create) the child series for that label combination.
 endpoint or for dumping next to a run report.
 
 The library instruments its hot paths against the default registry
-(:func:`get_registry`): the signature DP, the flow substrate and the
-online placer all publish here.  Metrics are *process-local*, but the
-registry supports **cross-process aggregation**: a pool worker calls
-:meth:`MetricsRegistry.snapshot` before and after a job, computes the
-picklable per-job delta with :func:`snapshot_delta`, ships it back with
-the job result, and the parent folds it in with
-:meth:`MetricsRegistry.merge_snapshot` — counters sum, gauges are
-last-write-wins, histograms add bucket-wise.  The engine does exactly
-this for ensemble members solved in pool workers, so ``repro_dp_*`` /
-``repro_flow_*`` totals in the parent registry are accurate for
-parallel runs too.  Merging can optionally tag the merged series with a
-``process`` label (the worker pid) to keep per-worker series apart.
+(:func:`get_registry`): the engine, the flow substrate, the cache and
+the online placer all publish here.  Metrics are *process-local* and no
+registry state crosses a process boundary.  What an ensemble member
+solved in a pool worker contributes travels home on its
+:class:`repro.core.telemetry.MemberRecord`, and the receiving process
+publishes the ``repro_dp_*`` / ``repro_incremental_subtree_*`` metrics
+from it (:func:`repro.core.engine.publish_member_metrics`), so those
+totals are the same for serial and parallel runs.
+:meth:`MetricsRegistry.snapshot` gives a picklable, JSON-safe dump of
+the registry (benchmark sessions write it next to their results).
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "snapshot_delta",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "DEFAULT_BYTE_BUCKETS",
@@ -114,23 +111,6 @@ class _Family:
         if self.labelnames:
             raise ValueError(f"{self.name}: labelled family needs .labels(...)")
         return self.labels()
-
-    def _child_for_key(self, key: Tuple[Tuple[str, str], ...]):
-        """Find-or-create a child by raw label-key tuple.
-
-        Unlike :meth:`labels` this does **not** validate the key against
-        ``labelnames`` — it is the merge path's backdoor that lets
-        :meth:`MetricsRegistry.merge_snapshot` append a ``process``
-        label to series shipped back from pool workers without
-        re-registering every family with an extra label name.
-        """
-        key = tuple((str(k), str(v)) for k, v in key)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = self._make_child()
-                self._children[key] = child
-            return child
 
     def _make_child(self):  # pragma: no cover - overridden
         raise NotImplementedError
@@ -257,18 +237,6 @@ class _HistogramValue:
             running += c
             out.append(running)
         return out
-
-    def add_counts(self, bucket_counts: Sequence[int], sum: float, count: int) -> None:
-        """Fold another series' raw buckets into this one (merge path)."""
-        if len(bucket_counts) != len(self.bucket_counts):
-            raise ValueError(
-                f"bucket mismatch: {len(bucket_counts)} vs {len(self.bucket_counts)}"
-            )
-        with self._lock:
-            for i, c in enumerate(bucket_counts):
-                self.bucket_counts[i] += int(c)
-            self.sum += float(sum)
-            self.count += int(count)
 
 
 class Histogram(_Family):
@@ -439,8 +407,8 @@ class MetricsRegistry:
         """Picklable point-in-time dump of every family and series.
 
         The format is plain lists/dicts/floats so it survives both
-        pickling across the pool boundary and a round-trip through JSON
-        (label keys become lists of ``[name, value]`` pairs)::
+        pickling and a round-trip through JSON (label keys become lists
+        of ``[name, value]`` pairs)::
 
             {"pid": 1234, "families": [
                 {"name": ..., "kind": "counter"|"gauge"|"histogram",
@@ -477,130 +445,6 @@ class MetricsRegistry:
             entry["series"] = series
             fams.append(entry)
         return {"pid": os.getpid(), "families": fams}
-
-    def merge_snapshot(
-        self, delta: Dict[str, object], process: Optional[str] = None
-    ) -> int:
-        """Fold a snapshot/delta (from another process) into this registry.
-
-        Counters sum, gauges are last-write-wins, histograms add
-        bucket-wise.  Families and series absent here are created on the
-        fly with the shipped help/labelnames/buckets.  When ``process``
-        is given, every merged series additionally carries a
-        ``process="<value>"`` label, keeping per-worker series apart
-        (aggregate by summing over the label, as Prometheus would).
-
-        Histogram series whose bucket layout disagrees with the
-        registered family are skipped — merging them would corrupt the
-        distribution.  Returns the number of series merged.
-        """
-        merged = 0
-        for entry in delta.get("families", ()):
-            name = str(entry["name"])
-            kind = entry.get("kind", "untyped")
-            help_ = str(entry.get("help", ""))
-            labelnames = tuple(entry.get("labelnames", ()))
-            if kind == "counter":
-                family: _Family = self.counter(name, help_, labelnames=labelnames)
-            elif kind == "gauge":
-                family = self.gauge(name, help_, labelnames=labelnames)
-            elif kind == "histogram":
-                family = self.histogram(
-                    name,
-                    help_,
-                    labelnames=labelnames,
-                    buckets=entry.get("buckets", DEFAULT_LATENCY_BUCKETS),
-                )
-            else:
-                continue
-            for raw_key, value in entry.get("series", ()):
-                key = tuple((str(k), str(v)) for k, v in raw_key)
-                if process is not None:
-                    key = key + (("process", str(process)),)
-                if isinstance(family, Histogram):
-                    counts = list(value.get("bucket_counts", ()))
-                    if len(counts) != len(family.buckets) + 1:
-                        continue
-                    child = family._child_for_key(key)
-                    child.add_counts(counts, value.get("sum", 0.0),
-                                     value.get("count", 0))
-                elif isinstance(family, Counter):
-                    family._child_for_key(key).inc(float(value))
-                else:
-                    family._child_for_key(key).set(float(value))
-                merged += 1
-        return merged
-
-
-def snapshot_delta(
-    current: Dict[str, object], base: Dict[str, object]
-) -> Dict[str, object]:
-    """The picklable difference ``current - base`` of two snapshots.
-
-    This is what a pool worker ships home: counters become the amount
-    added since ``base``, histograms the per-bucket observations added,
-    and gauges travel only if their value changed (last-write
-    semantics — the delta carries the *new* value, not a difference).
-    Series and families with no activity are dropped, so the common
-    case (a member solve touching a handful of DP/flow series) is a
-    small dict.
-    """
-
-    def _index(snap: Dict[str, object]) -> Dict[str, Dict[tuple, object]]:
-        out: Dict[str, Dict[tuple, object]] = {}
-        for entry in snap.get("families", ()):
-            series = {
-                tuple((str(k), str(v)) for k, v in raw_key): value
-                for raw_key, value in entry.get("series", ())
-            }
-            out[str(entry["name"])] = series
-        return out
-
-    base_idx = _index(base)
-    fams: List[Dict[str, object]] = []
-    for entry in current.get("families", ()):
-        name = str(entry["name"])
-        kind = entry.get("kind", "untyped")
-        old = base_idx.get(name, {})
-        series = []
-        for raw_key, value in entry.get("series", ()):
-            key = tuple((str(k), str(v)) for k, v in raw_key)
-            prev = old.get(key)
-            if kind == "counter":
-                diff = float(value) - (float(prev) if prev is not None else 0.0)
-                if diff > 0:
-                    series.append([[list(kv) for kv in key], diff])
-            elif kind == "gauge":
-                if prev is None or float(prev) != float(value):
-                    series.append([[list(kv) for kv in key], float(value)])
-            elif kind == "histogram":
-                pc = prev or {"bucket_counts": (), "sum": 0.0, "count": 0}
-                old_counts = list(pc.get("bucket_counts", ()))
-                new_counts = list(value.get("bucket_counts", ()))
-                if len(old_counts) != len(new_counts):
-                    old_counts = [0] * len(new_counts)
-                dcounts = [n - o for n, o in zip(new_counts, old_counts)]
-                dcount = int(value.get("count", 0)) - int(pc.get("count", 0))
-                if dcount > 0 or any(dcounts):
-                    series.append([
-                        [list(kv) for kv in key],
-                        {
-                            "bucket_counts": dcounts,
-                            "sum": float(value.get("sum", 0.0))
-                            - float(pc.get("sum", 0.0)),
-                            "count": dcount,
-                        },
-                    ])
-        if series:
-            fams.append({
-                "name": name,
-                "kind": kind,
-                "help": entry.get("help", ""),
-                "labelnames": list(entry.get("labelnames", ())),
-                **({"buckets": list(entry["buckets"])} if "buckets" in entry else {}),
-                "series": series,
-            })
-    return {"pid": current.get("pid"), "families": fams}
 
 
 _DEFAULT_REGISTRY = MetricsRegistry()

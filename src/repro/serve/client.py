@@ -11,23 +11,14 @@ a slow-loris tenant and exercises the server's read-deadline path.
 from __future__ import annotations
 
 import json
-import os
 import socket
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import ReproError
+from repro.testing.faults import maybe_inject
 
 __all__ = ["PlacementClient", "ServeResponse", "ServeUnavailableError"]
-
-
-def _maybe_inject(site: str, **context) -> None:
-    """Env-gated chaos hook (no-op unless ``REPRO_FAULT_SPEC`` is set)."""
-    if not os.environ.get("REPRO_FAULT_SPEC"):
-        return
-    from repro.testing.faults import maybe_inject
-
-    maybe_inject(site, **context)
 
 
 class ServeUnavailableError(ReproError):
@@ -103,7 +94,7 @@ class PlacementClient:
                 # Chaos site: serve_slow_client stalls *here*, between
                 # head and body — the classic slow-loris shape the
                 # server's per-read deadline must absorb.
-                _maybe_inject("serve_client", path=path)
+                maybe_inject("serve_client", path=path)
                 if body:
                     sock.sendall(body)
                 return self._read_response(sock)

@@ -34,7 +34,6 @@ spool files).
 from __future__ import annotations
 
 import asyncio
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -48,6 +47,7 @@ from repro.obs.exporter import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.obs.metrics import get_registry
 from repro.serve import protocol
 from repro.serve.admission import LANES, AdmissionQueue
+from repro.testing.faults import maybe_inject
 
 __all__ = ["PlacementServer", "ServeConfig"]
 
@@ -58,15 +58,6 @@ _RESPONSE_KIND = "serve_response"
 #: dispatcher's specific 504 payload (queue-expired vs solve-truncated)
 #: wins over the handler's generic one whenever it arrives at all.
 _WAIT_GRACE_S = 2.0
-
-
-def _maybe_inject(site: str, **context) -> None:
-    """Env-gated chaos hook (no-op unless ``REPRO_FAULT_SPEC`` is set)."""
-    if not os.environ.get("REPRO_FAULT_SPEC"):
-        return
-    from repro.testing.faults import maybe_inject
-
-    maybe_inject(site, **context)
 
 
 @dataclass(frozen=True)
@@ -592,7 +583,7 @@ class PlacementServer:
 
         job = _Job(request=req, key=key, lane=lane, deadline_at=deadline_at)
         try:
-            _maybe_inject("serve_admit", lane=lane)
+            maybe_inject("serve_admit", lane=lane)
             admitted = self._queue.offer(job, lane)
         except Exception:
             # The serve_flood fault lands here: treat an admission-path

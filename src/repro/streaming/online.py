@@ -45,6 +45,13 @@ __all__ = [
     "simulate_churn",
 ]
 
+#: Dirty-fraction gate of :meth:`OnlinePlacer.reoptimize`: when more than
+#: this fraction of live tasks was touched by churn since the last
+#: reoptimize, the solve skips the subtree memo (with most subtrees
+#: dirty, per-node lookups are pure overhead).  A performance heuristic
+#: only; placements are identical either way.
+MAX_DIRTY_FRAC = 0.25
+
 
 @dataclass
 class OnlineCounters:
@@ -63,8 +70,8 @@ class OnlineCounters:
     ``incremental_reopts`` / ``incremental_fallbacks`` count
     re-optimisations that ran through the subtree-memo warm path versus
     those forced to a plain full solve because the dirty fraction
-    exceeded ``IncrementalConfig.max_dirty_frac`` (placements are
-    identical either way — the gate is a performance heuristic).
+    exceeded :data:`MAX_DIRTY_FRAC` (placements are identical either
+    way — the gate is a performance heuristic).
     """
 
     arrivals: int = 0
@@ -400,17 +407,17 @@ class OnlinePlacer:
 
         # Incremental-vs-full decision: when the fraction of live tasks
         # touched since the last successful reoptimize exceeds
-        # ``incremental.max_dirty_frac``, per-subtree memo probes are
-        # pure overhead (most digests changed), so the solve runs plain.
-        # Placements are bit-identical either way — the memo never
-        # changes table contents, only whether they are rebuilt.
-        inc = getattr(self.config, "incremental", None)
-        warm_capable = inc is not None and incremental_enabled(self.config)
+        # MAX_DIRTY_FRAC, per-subtree memo probes are pure overhead
+        # (most digests changed), so the solve runs plain.  Placements
+        # are bit-identical either way — the memo never changes table
+        # contents, only whether they are rebuilt.
+        inc = self.config.incremental
+        warm_capable = incremental_enabled(self.config)
         dirty_live = sum(1 for t in self._dirty if t in self._demand)
         dirty_frac = dirty_live / max(1, self.n_tasks)
-        use_warm = bool(warm_capable and dirty_frac <= inc.max_dirty_frac)
+        use_warm = warm_capable and dirty_frac <= MAX_DIRTY_FRAC
         run_cfg = self.config
-        if inc is not None and use_warm != inc.enabled:
+        if use_warm != inc.enabled:
             run_cfg = replace(
                 self.config, incremental=replace(inc, enabled=use_warm)
             )

@@ -197,14 +197,3 @@ class TestSchemaV3:
         assert report.profile is None
         assert RunReport.from_json(report.to_json()).profile is None
 
-    def test_metrics_delta_never_serialized(self):
-        rec = MemberRecord(
-            index=0,
-            method="frt",
-            dp_cost=1.0,
-            metrics_delta={"pid": 1, "families": []},
-        )
-        data = rec.to_dict()
-        assert "metrics_delta" not in data
-        rebuilt = MemberRecord.from_dict({**data, "metrics_delta": {"x": 1}})
-        assert rebuilt.metrics_delta is None

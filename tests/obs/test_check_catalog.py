@@ -29,9 +29,9 @@ def _source_tree(tmp_path, registrations):
     return src
 
 
-def _catalog(tmp_path, names):
+def _catalog(tmp_path, names, kind="counter", where="`mod.py`"):
     doc = tmp_path / "observability.md"
-    rows = "\n".join(f"| `{n}` | counter | mod.py | something |" for n in names)
+    rows = "\n".join(f"| `{n}` | {kind} | {where} | something |" for n in names)
     doc.write_text(
         "# Obs\n\n### Catalog\n\n| metric | kind | where | meaning |\n"
         "| --- | --- | --- | --- |\n" + rows + "\n"
@@ -61,8 +61,8 @@ class TestScanners:
             "not a table line with `repro_red_herring_total` mention\n"
         )
         assert checker.catalogued_metrics(doc) == {
-            "repro_plain_total",
-            "repro_labelled_total",
+            "repro_plain_total": ("counter", "x"),
+            "repro_labelled_total": ("counter", "x"),
         }
 
 
@@ -90,6 +90,43 @@ class TestGate:
         err = capsys.readouterr().err
         assert "repro_new_gauge" in err
         assert "no catalog row" in err
+
+
+    def test_kind_mismatch_fails(self, checker, tmp_path, capsys):
+        src = _source_tree(tmp_path, [("histogram", "repro_peak_bytes")])
+        doc = _catalog(tmp_path, ["repro_peak_bytes"], kind="gauge")
+        rc = checker.main(["--source", str(src), "--catalog", str(doc)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "repro_peak_bytes is catalogued as 'gauge'" in err
+        assert "registered as histogram" in err
+
+    def test_kind_is_first_word_of_cell(self, checker, tmp_path):
+        src = _source_tree(tmp_path, [("histogram", "repro_peak_bytes")])
+        doc = _catalog(
+            tmp_path, ["repro_peak_bytes"], kind="histogram (byte buckets)"
+        )
+        assert checker.main(["--source", str(src), "--catalog", str(doc)]) == 0
+
+    def test_where_mismatch_fails(self, checker, tmp_path, capsys):
+        src = _source_tree(tmp_path, [("counter", "repro_x_total")])
+        doc = _catalog(tmp_path, ["repro_x_total"], where="`hgpt/dp.py`")
+        rc = checker.main(["--source", str(src), "--catalog", str(doc)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "repro_x_total is catalogued in 'hgpt/dp.py'" in err
+
+    def test_where_matches_path_suffix(self, checker, tmp_path):
+        """``where`` names a path under the package: it must match the
+        end of the registering file's path, whole components only."""
+        pkg = tmp_path / "src" / "pkg" / "core"
+        pkg.mkdir(parents=True)
+        (pkg / "engine.py").write_text('reg.counter("repro_x_total", "h")\n')
+        src = tmp_path / "src"
+        ok = _catalog(tmp_path, ["repro_x_total"], where="`core/engine.py`")
+        assert checker.main(["--source", str(src), "--catalog", str(ok)]) == 0
+        bad = _catalog(tmp_path, ["repro_x_total"], where="`re/engine.py`")
+        assert checker.main(["--source", str(src), "--catalog", str(bad)]) == 1
 
 
 class TestRealRepo:

@@ -1,9 +1,11 @@
-"""Cross-process metric aggregation: snapshot, delta, merge, quantile.
+"""Registry snapshots, histogram quantiles and member-metric totals.
 
-The tentpole regression here is :class:`TestParallelRunAggregation` —
-before the delta-merge path existed, a pool run (``n_jobs > 1``) left
-``repro_dp_solves_total`` flat in the parent registry because the
-increments happened in worker processes and died with them.
+The regression here is :class:`TestParallelRunAggregation`: a pool run
+(``n_jobs > 1``) must add the same DP and subtree-memo totals to the
+parent registry as a serial run.  Member DP facts travel home on their
+:class:`repro.core.telemetry.MemberRecord` and the receiving process
+publishes them, so no registry state crosses the process boundary — and
+the parent's own gauges are never overwritten by a worker's.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    snapshot_delta,
 )
 
 
@@ -60,146 +61,6 @@ class TestSnapshot:
         (key, value), = snap["families"][0]["series"]
         assert key == [["kind", "x"]]
         assert value == pytest.approx(1.0)
-
-
-class TestSnapshotDelta:
-    def test_counter_diff_only_positive(self, registry):
-        c = registry.counter("c_total")
-        c.inc(5)
-        base = registry.snapshot()
-        c.inc(3)
-        delta = snapshot_delta(registry.snapshot(), base)
-        assert delta["families"][0]["series"][0][1] == pytest.approx(3.0)
-
-    def test_inactive_series_dropped(self, registry):
-        registry.counter("quiet_total").inc(5)
-        registry.gauge("quiet_gauge").set(1)
-        registry.histogram("quiet_hist").observe(0.5)
-        base = registry.snapshot()
-        delta = snapshot_delta(registry.snapshot(), base)
-        assert delta["families"] == []
-
-    def test_gauge_ships_new_value_when_changed(self, registry):
-        g = registry.gauge("g")
-        g.set(4)
-        base = registry.snapshot()
-        g.set(9)
-        delta = snapshot_delta(registry.snapshot(), base)
-        # Last-write semantics: the delta carries the new value itself.
-        assert delta["families"][0]["series"][0][1] == pytest.approx(9.0)
-
-    def test_histogram_raw_bucket_diffs(self, registry):
-        h = registry.histogram("h", buckets=(1.0, 2.0))
-        h.observe(0.5)
-        base = registry.snapshot()
-        h.observe(1.5)
-        h.observe(100.0)
-        delta = snapshot_delta(registry.snapshot(), base)
-        value = delta["families"][0]["series"][0][1]
-        assert value["bucket_counts"] == [0, 1, 1]
-        assert value["count"] == 2
-        assert value["sum"] == pytest.approx(101.5)
-
-    def test_new_series_diffed_from_zero(self, registry):
-        base = registry.snapshot()
-        registry.counter("fresh_total").inc(2)
-        delta = snapshot_delta(registry.snapshot(), base)
-        assert delta["families"][0]["name"] == "fresh_total"
-        assert delta["families"][0]["series"][0][1] == pytest.approx(2.0)
-
-    def test_delta_preserves_buckets_and_help(self, registry):
-        base = registry.snapshot()
-        registry.histogram("h", "Help!", buckets=(1.0, 4.0)).observe(2.0)
-        delta = snapshot_delta(registry.snapshot(), base)
-        fam = delta["families"][0]
-        assert fam["buckets"] == [1.0, 4.0]
-        assert fam["help"] == "Help!"
-
-
-class TestMergeSnapshot:
-    def _delta_from(self, build) -> dict:
-        """Run ``build`` against a scratch registry, return its delta."""
-        worker = MetricsRegistry()
-        base = worker.snapshot()
-        build(worker)
-        return snapshot_delta(worker.snapshot(), base)
-
-    def test_counters_sum(self, registry):
-        registry.counter("c_total", "parent help").inc(10)
-        delta = self._delta_from(lambda w: w.counter("c_total").inc(4))
-        merged = registry.merge_snapshot(delta)
-        assert merged == 1
-        assert registry.get("c_total").value() == pytest.approx(14.0)
-
-    def test_gauges_last_write(self, registry):
-        registry.gauge("g").set(1)
-        delta = self._delta_from(lambda w: w.gauge("g").set(42))
-        registry.merge_snapshot(delta)
-        assert registry.get("g").value() == pytest.approx(42.0)
-
-    def test_histograms_add_bucketwise(self, registry):
-        registry.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-
-        def build(w):
-            h = w.histogram("h", buckets=(1.0, 2.0))
-            h.observe(1.5)
-            h.observe(50.0)
-
-        registry.merge_snapshot(self._delta_from(build))
-        snap = registry.get("h").snapshot()
-        assert snap["count"] == 3
-        assert snap["buckets"][1.0] == 1
-        assert snap["buckets"][2.0] == 2
-        assert snap["buckets"][math.inf] == 3
-        assert snap["sum"] == pytest.approx(52.0)
-
-    def test_unknown_family_created_on_the_fly(self, registry):
-        delta = self._delta_from(
-            lambda w: w.counter("only_in_worker_total", "from worker").inc(1)
-        )
-        registry.merge_snapshot(delta)
-        fam = registry.get("only_in_worker_total")
-        assert fam is not None
-        assert fam.help == "from worker"
-        assert fam.value() == pytest.approx(1.0)
-
-    def test_bucket_layout_mismatch_skipped(self, registry):
-        registry.histogram("h", buckets=(1.0, 2.0, 3.0)).observe(0.5)
-        delta = self._delta_from(
-            lambda w: w.histogram("h", buckets=(1.0, 2.0)).observe(1.5)
-        )
-        merged = registry.merge_snapshot(delta)
-        assert merged == 0
-        assert registry.get("h").snapshot()["count"] == 1  # unchanged
-
-    def test_process_label_keeps_workers_apart(self, registry):
-        d1 = self._delta_from(lambda w: w.counter("c_total").inc(2))
-        d2 = self._delta_from(lambda w: w.counter("c_total").inc(5))
-        registry.merge_snapshot(d1, process="101")
-        registry.merge_snapshot(d2, process="202")
-        text = registry.render()
-        assert 'c_total{process="101"} 2' in text
-        assert 'c_total{process="202"} 5' in text
-
-    def test_merge_twice_double_counts_by_design(self, registry):
-        """Counters sum on every merge: callers must merge a delta once."""
-        delta = self._delta_from(lambda w: w.counter("c_total").inc(3))
-        registry.merge_snapshot(delta)
-        registry.merge_snapshot(delta)
-        assert registry.get("c_total").value() == pytest.approx(6.0)
-
-    def test_labelled_series_merge_into_right_child(self, registry):
-        registry.counter("c_total", labelnames=("kind",)).inc(1, kind="a")
-
-        def build(w):
-            c = w.counter("c_total", labelnames=("kind",))
-            c.inc(2, kind="a")
-            c.inc(7, kind="b")
-
-        registry.merge_snapshot(self._delta_from(build))
-        fam = registry.get("c_total")
-        assert fam.value(kind="a") == pytest.approx(3.0)
-        assert fam.value(kind="b") == pytest.approx(7.0)
 
 
 class TestHistogramQuantile:
@@ -248,13 +109,45 @@ class TestHistogramQuantile:
         assert math.isnan(h.quantile(0.5, kind="y"))
 
 
-class TestParallelRunAggregation:
-    """The acceptance-critical regression: pool workers' counters must
-    reach the parent registry.  Before the delta-merge path these
-    asserts failed — worker-side ``repro_dp_solves_total`` increments
-    died with the worker process."""
+#: Counter families fed from member records.
+MEMBER_COUNTERS = (
+    "repro_dp_solves_total",
+    "repro_dp_nodes_total",
+    "repro_dp_states_total",
+    "repro_dp_merges_total",
+    "repro_dp_tiles_total",
+    "repro_dp_bound_pruned_total",
+    "repro_dp_beam_escalations_total",
+    "repro_incremental_subtree_hits_total",
+    "repro_incremental_subtree_misses_total",
+)
 
-    def _run(self, clustered_instance, n_jobs, monkeypatch=None, **cfg_kw):
+#: Histogram families fed from member records (one observation each).
+MEMBER_HISTOGRAMS = (
+    "repro_dp_states_max",
+    "repro_dp_table_peak_bytes",
+    "repro_dp_seconds",
+)
+
+
+def _member_totals(registry) -> dict:
+    """Current value of every member counter and histogram count."""
+    out = {name: _value(registry, name) for name in MEMBER_COUNTERS}
+    for name in MEMBER_HISTOGRAMS:
+        family = registry.get(name)
+        out[name] = 0 if family is None else family.snapshot()["count"]
+    return out
+
+
+def _added(before: dict, after: dict) -> dict:
+    return {name: after[name] - before[name] for name in before}
+
+
+class TestParallelRunAggregation:
+    """Pool workers' member counts must reach the parent registry, and
+    in the same amounts as a serial run's."""
+
+    def _run(self, clustered_instance, n_jobs, **cfg_kw):
         from repro.core.config import SolverConfig
         from repro.core.engine import run_pipeline
 
@@ -265,44 +158,124 @@ class TestParallelRunAggregation:
     def test_parallel_run_increases_parent_dp_total(self, clustered_instance):
         reg = get_registry()
         before = _value(reg, "repro_dp_solves_total")
-        before_merges = _value(reg, "repro_metrics_worker_merges_total")
         result = self._run(clustered_instance, n_jobs=2)
         assert result.placement is not None
-        # Every ensemble member solved in a worker must land here: at
-        # least n_trees new DP solves, merged from >= 1 worker delta.
+        # Every ensemble member solved in a worker must land here.
         assert _value(reg, "repro_dp_solves_total") >= before + 4
-        assert _value(reg, "repro_metrics_worker_merges_total") >= before_merges + 4
 
     def test_serial_and_parallel_totals_agree(self, clustered_instance):
+        """Every member counter and histogram count adds the same amount
+        for ``n_jobs=1`` and ``n_jobs=2``.  The subtree memo is off:
+        members solved in different workers cannot hit each other's
+        tables, so with it on, memo hits (and the merges they skip)
+        depend on how members are spread over processes."""
+        from repro.core.config import IncrementalConfig
+
+        reg = get_registry()
+        no_memo = IncrementalConfig(enabled=False)
+        before = _member_totals(reg)
+        self._run(clustered_instance, n_jobs=1, incremental=no_memo)
+        serial_added = _added(before, _member_totals(reg))
+        before = _member_totals(reg)
+        self._run(clustered_instance, n_jobs=2, incremental=no_memo)
+        parallel_added = _added(before, _member_totals(reg))
+        assert serial_added == parallel_added
+        assert serial_added["repro_dp_solves_total"] == 4
+        assert serial_added["repro_dp_seconds"] == 4
+        assert serial_added["repro_dp_merges_total"] > 0
+
+    def test_pool_totals_equal_record_sums(self, clustered_instance):
+        """With the memo on, a pool run publishes exactly what its member
+        records carry, subtree-memo counts included."""
+        reg = get_registry()
+        before = _member_totals(reg)
+        result = self._run(clustered_instance, n_jobs=2)
+        added = _added(before, _member_totals(reg))
+        records = result.telemetry.members
+        assert added["repro_dp_solves_total"] == len(records) == 4
+        for name, field in (
+            ("repro_dp_nodes_total", "dp_nodes"),
+            ("repro_dp_states_total", "dp_states_total"),
+            ("repro_dp_merges_total", "dp_merges"),
+            ("repro_dp_tiles_total", "dp_tiles"),
+            ("repro_dp_bound_pruned_total", "dp_bound_pruned"),
+            ("repro_dp_beam_escalations_total", "beam_escalations"),
+            ("repro_incremental_subtree_hits_total", "dp_memo_hits"),
+            ("repro_incremental_subtree_misses_total", "dp_memo_misses"),
+        ):
+            assert added[name] == sum(getattr(r, field) for r in records), name
+        # The memo was consulted (hits or misses, depending on what the
+        # persistent workers already hold).
+        assert (
+            added["repro_incremental_subtree_hits_total"]
+            + added["repro_incremental_subtree_misses_total"]
+        ) > 0
+        for name in MEMBER_HISTOGRAMS:
+            assert added[name] == 4, name
+
+    def test_parent_cache_gauges_read_parent_cache(self, monkeypatch):
+        """After a pool run with the memo on, the parent's cache gauges
+        describe the parent's own cache, not a worker's private one."""
+        from repro.bench.instances import make_instance, standard_hierarchy
+        from repro.cache import get_cache, reset_cache
+        from repro.core.config import SolverConfig
+        from repro.core.engine import run_pipeline
+
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        reset_cache()
+        inst = make_instance("blocks", 32, standard_hierarchy("2x4"), seed=5)
+        cfg = SolverConfig(n_trees=4, n_jobs=2, seed=0)
+        assert cfg.incremental.enabled and cfg.cache.enabled
+        run_pipeline(inst.graph, inst.hierarchy, inst.demands, cfg)
+        reg = get_registry()
+        cache = get_cache()
+        assert _value(reg, "repro_cache_bytes") == cache.nbytes
+        assert _value(reg, "repro_cache_entries") == len(cache)
+
+
+class TestPublicationSites:
+    """Which solves publish member metrics: engine members, guided
+    rounds and ``solve_hgpt`` do; a bare ``solve_rhgpt`` does not."""
+
+    def test_guided_round_adds_one_solve(self, clustered_instance):
+        from repro.core.config import SolverConfig
+        from repro.decomposition.guided import solve_hgp_iterated
+
+        g, h, d = clustered_instance
+        cfg = SolverConfig(n_trees=2, refine=False, seed=3)
         reg = get_registry()
         before = _value(reg, "repro_dp_solves_total")
-        self._run(clustered_instance, n_jobs=1)
-        serial_added = _value(reg, "repro_dp_solves_total") - before
+        solve_hgp_iterated(g, h, d, cfg, rounds=0)
+        plain = _value(reg, "repro_dp_solves_total") - before
         before = _value(reg, "repro_dp_solves_total")
-        self._run(clustered_instance, n_jobs=2)
-        parallel_added = _value(reg, "repro_dp_solves_total") - before
-        assert serial_added == pytest.approx(parallel_added)
+        solve_hgp_iterated(g, h, d, cfg, rounds=1)
+        guided = _value(reg, "repro_dp_solves_total") - before
+        assert plain == 2
+        assert guided == plain + 1
 
-    def test_process_label_env_flag(self, clustered_instance, monkeypatch):
-        monkeypatch.setenv("REPRO_METRICS_PROCESS_LABEL", "1")
+    def test_solve_hgpt_adds_one_solve(self, clustered_instance):
+        from repro.core.solver import solve_hgpt
+        from repro.decomposition.racke import racke_ensemble
+
+        g, h, d = clustered_instance
+        tree = racke_ensemble(g, n_trees=1, seed=0)[0]
         reg = get_registry()
-        self._run(clustered_instance, n_jobs=2)
-        fam = reg.get("repro_dp_solves_total")
-        labelled = [
-            key
-            for key, _ in fam._series()
-            if any(k == "process" for k, _v in key)
-        ]
-        assert labelled, "expected per-process dp series under the env flag"
+        before = _member_totals(reg)
+        solve_hgpt(tree, h, d)
+        added = _added(before, _member_totals(reg))
+        assert added["repro_dp_solves_total"] == 1
+        assert added["repro_dp_seconds"] == 1
 
-    def test_serial_records_carry_no_delta(self, clustered_instance):
-        """Serial solves increment the parent directly; a delta on top
-        would double-count when the engine merges it."""
-        result = self._run(clustered_instance, n_jobs=1)
-        records = result.report().members
-        assert records
-        for record in records:
-            assert record.metrics_delta is None
+    def test_direct_solve_rhgpt_leaves_registry_unchanged(self):
+        from repro.bench.oracles import path_binary_tree
+        from repro.hgpt.dp import solve_rhgpt
+
+        bt = path_binary_tree([1.0, 2.0, 3.0], [1, 1, 1, 1])
+        reg = get_registry()
+        before = reg.snapshot()
+        solution = solve_rhgpt(bt, caps=[2], deltas=[0.0, 1.0])
+        assert solution.cost > 0
+        assert reg.snapshot() == before
 
 
 def _value(registry, name, **labels):

@@ -6,12 +6,13 @@ Satellite contracts of the warm path:
   next ``live_graph`` keeps the snapshot's structure arrays (asserted
   by identity, not equality) and only regathers weights.
 * churn events feed a dirty set; ``reoptimize`` compares its live
-  fraction against ``IncrementalConfig.max_dirty_frac`` to pick the
-  warm or the full path, and either way produces identical placements.
-* ``REPRO_INCREMENTAL`` overrides the config in both directions.
+  fraction against ``repro.streaming.online.MAX_DIRTY_FRAC`` to pick
+  the warm or the full path, and either way produces identical
+  placements.
+* the memo runs only when both ``IncrementalConfig.enabled`` and the
+  solver cache are on.
 """
 
-import numpy as np
 import pytest
 
 from repro import SolverConfig
@@ -19,13 +20,13 @@ from repro.cache import reset_cache
 from repro.core.config import IncrementalConfig
 from repro.core.engine import incremental_enabled
 from repro.errors import InvalidInputError
+from repro.streaming import online
 from repro.streaming.online import OnlinePlacer
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache(monkeypatch):
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
     reset_cache()
     yield
     reset_cache()
@@ -134,13 +135,9 @@ class TestDirtyGate:
         assert placer.last_report.meta["dirty_frac"] == pytest.approx(0.25)
         assert placer.last_report.meta["incremental"] is True
 
-    def test_large_churn_falls_back(self, hier_2x4):
-        cfg = SolverConfig(
-            n_trees=2,
-            refine=False,
-            seed=0,
-            incremental=IncrementalConfig(max_dirty_frac=0.1),
-        )
+    def test_large_churn_falls_back(self, hier_2x4, monkeypatch):
+        monkeypatch.setattr(online, "MAX_DIRTY_FRAC", 0.1)
+        cfg = SolverConfig(n_trees=2, refine=False, seed=0)
         placer = OnlinePlacer(hier_2x4, config=cfg)
         _populate(placer)
         placer.reoptimize()
@@ -174,15 +171,6 @@ class TestDirtyGate:
 
 
 class TestEnvOverride:
-    def test_env_zero_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        assert not incremental_enabled(SolverConfig())
-
-    def test_env_one_enables_over_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-        cfg = SolverConfig(incremental=IncrementalConfig(enabled=False))
-        assert incremental_enabled(cfg)
-
     def test_config_disable_wins_without_env(self):
         cfg = SolverConfig(incremental=IncrementalConfig(enabled=False))
         assert not incremental_enabled(cfg)
@@ -192,7 +180,3 @@ class TestEnvOverride:
 
         cfg = SolverConfig(cache=CacheConfig(enabled=False))
         assert not incremental_enabled(cfg)
-
-    def test_invalid_max_dirty_frac_rejected(self):
-        with pytest.raises(InvalidInputError):
-            IncrementalConfig(max_dirty_frac=1.5)
