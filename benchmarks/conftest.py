@@ -5,11 +5,13 @@ pytest-benchmark fixture, so ``--benchmark-only`` runs it) and *prints +
 saves* the table/series the paper-style evaluation reports, under
 ``benchmarks/results/``.
 
-In addition, every engine run any benchmark triggers persists its
-structured JSON run report under ``benchmarks/results/reports/`` (one
-``<path>_<run_id>.json`` per run, via the ``REPRO_RUN_REPORT_DIR``
-hook in :func:`repro.core.engine.run_pipeline`) so per-stage timings
-are inspectable with ``repro report`` after any benchmark session.
+In addition, every top-level solve call any benchmark makes persists
+its structured JSON run report under ``benchmarks/results/reports/``
+(one ``<path>_<run_id>.json`` per call, holding every member of a
+portfolio, guided iteration or multilevel solve, via the
+``REPRO_RUN_REPORT_DIR`` hook in
+:func:`repro.core.engine.persist_report`) so per-stage timings are
+inspectable with ``repro report`` after any benchmark session.
 The directory is scratch output and git-ignored.
 """
 

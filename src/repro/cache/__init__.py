@@ -2,8 +2,8 @@
 
 Public surface: :class:`CacheConfig` (the ``cache`` block on
 ``SolverConfig``), :class:`SolverCache` (two-tier LRU + disk cache),
-:func:`get_cache` / :func:`configure_cache` / :func:`resolve_cache` for
-the process-wide instance, and the key helpers :func:`cache_key` /
+:func:`get_cache` / :func:`configure_cache` for the process-wide
+instance, and the key helpers :func:`cache_key` /
 :func:`seed_token`.  :class:`InflightRegistry`
 (:mod:`repro.cache.inflight`) dedupes *concurrent* identical requests —
 the coalescing core of ``repro.serve``.
@@ -19,7 +19,6 @@ from repro.cache.cache import (
     estimate_nbytes,
     get_cache,
     reset_cache,
-    resolve_cache,
     seed_token,
 )
 
@@ -34,6 +33,5 @@ __all__ = [
     "estimate_nbytes",
     "get_cache",
     "reset_cache",
-    "resolve_cache",
     "seed_token",
 ]

@@ -77,7 +77,6 @@ __all__ = [
     "estimate_nbytes",
     "get_cache",
     "configure_cache",
-    "resolve_cache",
     "reset_cache",
 ]
 
@@ -100,7 +99,11 @@ ENV_DISABLE = "REPRO_CACHE_DISABLE"
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Per-run cache knobs (the ``cache`` block of ``SolverConfig``).
+    """Per-run cache knob (the ``cache`` block of ``SolverConfig``).
+
+    The process-wide cache itself is sized and placed by
+    ``REPRO_CACHE_MAX_BYTES`` / ``REPRO_CACHE_DIR`` or
+    :func:`configure_cache`, never by a run's config.
 
     Attributes
     ----------
@@ -108,23 +111,9 @@ class CacheConfig:
         Whether engine runs under this config consult the cache at all
         (``repro solve --no-cache`` sets this to ``False``).  Disabling
         is per-run: it neither clears nor reconfigures the shared cache.
-    max_bytes:
-        In-memory LRU byte budget to apply to the process cache
-        (``None`` = leave the current budget untouched; the global
-        default is :data:`DEFAULT_MAX_BYTES` or ``REPRO_CACHE_MAX_BYTES``).
-    disk_dir:
-        Disk-tier directory to apply (``None`` = leave untouched; the
-        global default comes from ``REPRO_CACHE_DIR``, unset = memory
-        only).
     """
 
     enabled: bool = True
-    max_bytes: Optional[int] = None
-    disk_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.max_bytes is not None and self.max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {self.max_bytes}")
 
 
 @dataclass
@@ -469,21 +458,6 @@ class SolverCache:
             "stats": self.stats.as_dict(),
         }
 
-    # -- reconfiguration ------------------------------------------------
-
-    def apply_config(self, config: CacheConfig) -> None:
-        """Apply a run's :class:`CacheConfig` overrides to this cache.
-
-        Only explicitly-set fields are applied; ``enabled`` is a per-run
-        decision made by the caller, not a property of the shared cache.
-        """
-        if config.max_bytes is not None and config.max_bytes != self.max_bytes:
-            with self._lock:
-                self.max_bytes = int(config.max_bytes)
-                self._evict_locked()
-        if config.disk_dir is not None:
-            self.disk_dir = Path(config.disk_dir)
-
     # -- internals ------------------------------------------------------
 
     def _put(self, kind: str, key: str, value: Any, write_disk: bool) -> None:
@@ -604,14 +578,6 @@ def configure_cache(
     with _DEFAULT_LOCK:
         _DEFAULT = SolverCache(max_bytes=max_bytes, disk_dir=disk_dir, enabled=enabled)
         return _DEFAULT
-
-
-def resolve_cache(config: Optional[CacheConfig]) -> SolverCache:
-    """The default cache with a run's :class:`CacheConfig` overrides applied."""
-    cache = get_cache()
-    if config is not None:
-        cache.apply_config(config)
-    return cache
 
 
 def reset_cache() -> None:

@@ -40,6 +40,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -493,7 +494,6 @@ def _run_solve(args: argparse.Namespace) -> int:
             get_cache().enabled = False
         from repro.core.resilience import ResilienceConfig, RetryPolicy
         from repro.core.config import IncrementalConfig, MultilevelConfig
-        from repro.obs.profile import ProfileConfig
 
         cfg = SolverConfig(
             seed=args.seed,
@@ -514,15 +514,19 @@ def _run_solve(args: argparse.Namespace) -> int:
                 coarsen_to=args.coarsen_to,
                 refine_passes=args.refine_passes,
             ),
-            profile=ProfileConfig(
-                enabled=args.profile is not None,
-                hz=args.profile_hz,
-                memory=args.profile_mem,
-                path=args.profile,
-            ),
             incremental=IncrementalConfig(enabled=not args.no_incremental),
         )
-        result = solve_hgp(g, hier, d, cfg, logger=logger)
+        session = None
+        if args.profile is not None:
+            from repro.obs.profile import ProfileConfig, ProfileSession
+
+            session = ProfileSession(
+                ProfileConfig(
+                    hz=args.profile_hz, memory=args.profile_mem, path=args.profile
+                )
+            )
+        with session if session is not None else contextlib.nullcontext():
+            result = solve_hgp(g, hier, d, cfg, logger=logger)
         placement = result.placement
         if result.degraded:
             print(
@@ -534,6 +538,8 @@ def _run_solve(args: argparse.Namespace) -> int:
             print(f"collapsed-stack profile written to {args.profile}")
         if args.report:
             report = result.report(graph=str(args.graph), method=args.method)
+            if session is not None:
+                report.profile = session.profile
             Path(args.report).write_text(report.to_json() + "\n")
             print(f"run report written to {args.report}")
         if args.method == "hgp_feasible":

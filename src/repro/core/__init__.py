@@ -1,8 +1,7 @@
-"""Core solvers: the staged engine, Theorem-1 pipeline, k-BGP, exact search."""
+"""Core solvers: the Theorem-1 pipeline engine, k-BGP, exact search."""
 
 from repro.core.config import SolverConfig
 from repro.core.engine import (
-    Engine,
     EngineResult,
     RunContext,
     run_pipeline,
@@ -16,7 +15,6 @@ from repro.core.telemetry import MemberRecord, RunReport, Span, Telemetry
 
 __all__ = [
     "SolverConfig",
-    "Engine",
     "EngineResult",
     "RunContext",
     "run_pipeline",

@@ -14,7 +14,6 @@ from repro.cache import CacheConfig
 from repro.core.resilience import ResilienceConfig
 from repro.errors import InvalidInputError
 from repro.hgpt.dp import DPConfig
-from repro.obs.profile import ProfileConfig
 
 __all__ = ["IncrementalConfig", "MultilevelConfig", "SolverConfig"]
 
@@ -144,8 +143,7 @@ class SolverConfig:
         Master RNG seed.
     cache:
         Solver-cache knobs (:class:`repro.cache.CacheConfig`): whether
-        this run consults the content-addressed cache, and optional
-        byte-budget / disk-dir overrides applied to the shared cache.
+        this run consults the process-wide content-addressed cache.
     dp:
         Merge-kernel knobs (:class:`repro.hgpt.dp.DPConfig`): merge tile
         size, incumbent-bound pruning and its pre-pass beam.  All
@@ -162,12 +160,6 @@ class SolverConfig:
         coarsens the graph to ``coarsen_to`` supervertices, runs this
         very engine configuration on the coarsest instance, and projects
         the placement back up with hierarchy-aware FM refinement.
-    profile:
-        Continuous-profiler knobs (:class:`repro.obs.profile.ProfileConfig`):
-        when ``profile.enabled`` is set, the run is bracketed by the
-        sampling flight-recorder + per-stage resource monitor and the
-        run report (schema v3) carries the ``profile`` payload.  Off by
-        default — zero overhead for unprofiled solves.
     incremental:
         Incremental warm-path knobs (:class:`IncrementalConfig`):
         whether DP solves memoise per-subtree state tables in the
@@ -191,7 +183,6 @@ class SolverConfig:
     dp: DPConfig = field(default_factory=DPConfig)
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     multilevel: MultilevelConfig = field(default_factory=MultilevelConfig)
-    profile: ProfileConfig = field(default_factory=ProfileConfig)
     incremental: IncrementalConfig = field(default_factory=IncrementalConfig)
 
     def __post_init__(self) -> None:

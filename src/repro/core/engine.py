@@ -1,45 +1,40 @@
-"""The staged solver engine behind every solve path.
+"""The solver engine behind every solve path: :func:`run_pipeline`.
 
-The Theorem-1 pipeline (embed → quantize → DP → repair → refine) used to
-live as one monolithic function in :mod:`repro.core.solver`; this module
-factors it into composable *stages* threaded through a :class:`RunContext`
-that carries the instance, the configuration, a seeded RNG and a
-:class:`repro.core.telemetry.Telemetry` collector.  Everything that
-solves an HGP instance — batch :func:`repro.core.solver.solve_hgp`,
-streaming re-optimisation, the portfolio racer, the k-BGP reduction and
-guided iteration — goes through :func:`run_pipeline`, so all paths emit
-the same structured run report (spans named ``trees``, ``quantize``,
-``dp``, ``repair``, ``refine`` plus one :class:`MemberRecord` per
-ensemble member).
+Theorem 1 is one sequence, and :func:`run_pipeline` runs it in order on
+one :class:`repro.core.telemetry.Telemetry` collector, one span per
+step:
 
-Stages
-------
-:class:`EmbedStage`
-    Build the Räcke-style decomposition-tree ensemble (span ``trees``).
-:class:`QuantizeStage`
-    Build the Hochbaum–Shmoys demand grid (span ``quantize``).
-:class:`DPStage`
-    Per member: binarize the tree and run the RHGPT signature DP with
-    beam escalation (span ``dp``).
-:class:`RepairStage`
-    Per member: repack the relaxed solution into a valid placement and
-    measure its true Eq. (1) cost (span ``repair``).
-:class:`RefineStage`
-    Hierarchy-aware local search on the winning placement (span
-    ``refine``; entered even when refinement is disabled so every run
-    report carries the full stage skeleton).
+``trees``
+    Build the Räcke-style decomposition-tree ensemble (cached by graph
+    digest, ensemble parameters and seed).
+``quantize``
+    Build the Hochbaum–Shmoys demand grid.
+``dp`` / ``repair``
+    Per member (:func:`solve_member`): binarize the tree and run the
+    RHGPT signature DP with beam escalation
+    (:meth:`DPStage.run_member`), then repack the relaxed solution into
+    a valid placement and measure its true Eq. (1) cost
+    (:meth:`RepairStage.run_member`).
+``refine``
+    Hierarchy-aware local search on Theorem 7's argmin member (entered
+    even when refinement is disabled, so every run report carries the
+    full five-span skeleton).
 
-The per-member work (DP + repair) is fused into :func:`solve_member`,
-which times its own phases into the member's :class:`MemberRecord`
-(``dp_seconds`` / ``repair_seconds``) and returns a picklable
-:class:`MemberOutcome`.  The process-pool path ships those outcomes back
-from the workers and the parent folds the record seconds into its
-``dp``/``repair`` spans — parallel runs report the same non-empty
-breakdown as serial ones, and spans stay the one timing model.
+:func:`solve_member` times its own phases into the member's
+:class:`MemberRecord` (``dp_seconds`` / ``repair_seconds``) and returns
+a picklable :class:`MemberOutcome`.  The process-pool path ships those
+outcomes back from the workers, and :func:`fold_members` folds the
+record seconds into the parent's ``dp``/``repair`` spans — parallel runs
+report the same non-empty breakdown as serial ones, and spans stay the
+one timing model.
 
-Every solve entry point (:func:`run_pipeline`,
-:func:`repro.core.solver.solve_hgp`, the multilevel front-end, the
-portfolio racer and guided iteration) returns an :class:`EngineResult`.
+Everything that solves an HGP instance — batch
+:func:`repro.core.solver.solve_hgp`, streaming re-optimisation, the
+multilevel front-end, the portfolio racer, the k-BGP reduction and
+guided iteration — goes through :func:`run_pipeline` and returns an
+:class:`EngineResult`.  The function that created a call's collector
+owns the run: it alone persists the report (:func:`persist_report`),
+so one top-level call leaves one report covering all of its members.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 import repro.kernels as kernels
-from repro.cache import resolve_cache
+from repro.cache import get_cache
 from repro.errors import InfeasibleError, InvalidInputError, SolverError
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
@@ -84,15 +79,12 @@ __all__ = [
     "RunContext",
     "MemberOutcome",
     "EngineResult",
-    "Stage",
-    "EmbedStage",
-    "QuantizeStage",
     "DPStage",
     "RepairStage",
-    "RefineStage",
-    "Engine",
     "solve_member",
     "publish_member_metrics",
+    "fold_members",
+    "persist_report",
     "run_pipeline",
     "validate_instance",
     "incremental_enabled",
@@ -166,7 +158,7 @@ def make_grid(
 
 @dataclass
 class RunContext:
-    """Everything one engine run threads through its stages.
+    """What one :func:`run_pipeline` call hands the member fan-out.
 
     Attributes
     ----------
@@ -175,20 +167,17 @@ class RunContext:
     config:
         Pipeline knobs.
     telemetry:
-        Structured collector; stages open their spans on it.
+        The run's structured collector.
     grid:
-        Demand grid (filled by :class:`QuantizeStage`).
+        Demand grid (filled by the ``quantize`` step).
     trees:
-        Decomposition-tree ensemble (filled by :class:`EmbedStage`).
-    placement:
-        The winning placement (set by :class:`RepairStage` selection,
-        polished by :class:`RefineStage`).
+        Decomposition-tree ensemble (filled by the ``trees`` step).
     run_id:
         Correlation id stamped on every log record this run emits
         (including records produced inside pool workers) and on the run
         report's ``meta``; auto-generated when not supplied.
     logger:
-        Structured logger the stages emit through (``NULL_LOGGER`` =
+        Structured logger the run emits through (``NULL_LOGGER`` =
         silent; the CLI attaches sinks via ``--verbose``/``--log-json``).
     """
 
@@ -199,7 +188,6 @@ class RunContext:
     telemetry: Telemetry
     grid: Optional[DemandGrid] = None
     trees: Optional[List[DecompositionTree]] = None
-    placement: Optional[Placement] = None
     run_id: Optional[str] = None
     logger: StructuredLogger = NULL_LOGGER
     _gen_ref: Optional[object] = field(default=None, repr=False)
@@ -273,89 +261,15 @@ class MemberOutcome:
 
 
 # ----------------------------------------------------------------------
-# stages
+# per-member DP and repair
 # ----------------------------------------------------------------------
 
 
-class Stage:
-    """Base class: a named pipeline step operating on a :class:`RunContext`."""
-
-    name = "stage"
-
-    def run(self, ctx: RunContext) -> None:
-        """Execute the stage, mutating ``ctx`` under a telemetry span."""
-        raise NotImplementedError
-
-
-class EmbedStage(Stage):
-    """Build the decomposition-tree ensemble (the Räcke step, span ``trees``).
-
-    Consults the content-addressed solver cache first (kind ``"trees"``,
-    keyed by graph digest + ensemble params + seed): a warm run on an
-    unchanged instance skips tree construction entirely.  The span's
-    ``cache_hits`` / ``cache_misses`` counters record which path ran, so
-    run reports (and ``repro report show``) expose cache effectiveness.
-    """
-
-    name = "trees"
-
-    def run(self, ctx: RunContext) -> None:
-        """Fill ``ctx.trees``."""
-        with ctx.telemetry.span(self.name):
-            cfg = ctx.config
-            cache = None
-            parts = None
-            if cfg.cache.enabled:
-                cache = resolve_cache(cfg.cache)
-                parts = ensemble_cache_parts(
-                    ctx.graph, cfg.n_trees, cfg.tree_methods, cfg.seed
-                )
-            hit = False
-            trees: Optional[List[DecompositionTree]] = None
-            if cache is not None and parts is not None:
-                hit, trees = cache.lookup("trees", parts)
-            if hit:
-                assert trees is not None
-                ctx.trees = list(trees)
-                ctx.telemetry.counter("cache_hits", 1)
-                ctx.logger.info(
-                    "trees_cache_hit", n_trees=len(ctx.trees)
-                )
-            else:
-                ctx.trees = racke_ensemble(
-                    ctx.graph,
-                    n_trees=cfg.n_trees,
-                    methods=cfg.tree_methods,
-                    seed=cfg.seed,
-                    use_cache=False,
-                )
-                if cache is not None and parts is not None:
-                    cache.store("trees", parts, list(ctx.trees))
-                    ctx.telemetry.counter("cache_misses", 1)
-            ctx.telemetry.counter("n_trees", len(ctx.trees))
-
-
-class QuantizeStage(Stage):
-    """Build the Hochbaum–Shmoys demand grid (span ``quantize``)."""
-
-    name = "quantize"
-
-    def run(self, ctx: RunContext) -> None:
-        """Fill ``ctx.grid``."""
-        with ctx.telemetry.span(self.name):
-            ctx.grid = make_grid(ctx.hierarchy, ctx.demands, ctx.config)
-            ctx.telemetry.counter(
-                "grid_cells", float(ctx.grid.quantize(ctx.demands).sum())
-            )
-
-
-class DPStage(Stage):
+class DPStage:
     """Per-member signature DP with beam escalation (span ``dp``)."""
 
-    name = "dp"
-
+    @staticmethod
     def run_member(
-        self,
         tree: DecompositionTree,
         hierarchy: Hierarchy,
         demands: np.ndarray,
@@ -426,13 +340,11 @@ class DPStage(Stage):
         raise last_error
 
 
-class RepairStage(Stage):
+class RepairStage:
     """Per-member Theorem-5 repair into a valid placement (span ``repair``)."""
 
-    name = "repair"
-
+    @staticmethod
     def run_member(
-        self,
         tree: DecompositionTree,
         hierarchy: Hierarchy,
         demands: np.ndarray,
@@ -444,45 +356,6 @@ class RepairStage(Stage):
             tree.graph, hierarchy, demands, solution, grid
         )
         return placement
-
-
-class RefineStage(Stage):
-    """Local-search polish of the winning placement (span ``refine``).
-
-    The span is entered even when refinement is disabled (with a
-    ``passes`` counter of 0) so every run report carries the complete
-    five-stage skeleton.
-    """
-
-    name = "refine"
-
-    def run(self, ctx: RunContext) -> None:
-        """Refine ``ctx.placement`` in place when the config asks for it."""
-        with ctx.telemetry.span(self.name):
-            if not (ctx.config.refine and ctx.config.refine_passes > 0):
-                ctx.telemetry.counter("passes", 0)
-                return
-            from repro.baselines.local_search import refine_placement
-
-            assert ctx.placement is not None
-            # Refinement may shuffle load but never worsen the balance the
-            # repair achieved (and always stays within the Theorem-1 bound).
-            budget = max(1.0, ctx.placement.max_violation())
-            ctx.placement = refine_placement(
-                ctx.placement,
-                max_passes=ctx.config.refine_passes,
-                max_violation=budget,
-                allow_swaps=True,
-            )
-            ctx.telemetry.counter("passes", ctx.config.refine_passes)
-
-
-# ----------------------------------------------------------------------
-# per-member solve (shared by the serial path and the pool workers)
-# ----------------------------------------------------------------------
-
-_DP_STAGE = DPStage()
-_REPAIR_STAGE = RepairStage()
 
 
 def solve_member(
@@ -514,12 +387,12 @@ def solve_member(
     # phases; the seconds travel home on the (picklable) record.
     with mark_active("dp"):
         t0 = time.perf_counter()
-        solution, escalations = _DP_STAGE.run_member(
+        solution, escalations = DPStage.run_member(
             tree, hierarchy, demands, config, grid, stats=own_stats
         )
         t1 = time.perf_counter()
     with mark_active("repair"):
-        placement = _REPAIR_STAGE.run_member(
+        placement = RepairStage.run_member(
             tree, hierarchy, demands, solution, grid
         )
         mapped = placement.cost()
@@ -578,8 +451,9 @@ def publish_member_metrics(records: Sequence[MemberRecord]) -> None:
 
     The :class:`MemberRecord` is the one carrier of a member's DP facts
     across the process boundary, so whichever process receives the
-    records publishes them — :meth:`Engine.run` after the fan-out, guided
-    iteration per round, :func:`repro.core.solver.solve_hgpt` per call.
+    records publishes them — :func:`fold_members` after each fan-out
+    (every :func:`run_pipeline`, every guided round) and
+    :func:`repro.core.solver.solve_hgpt` per call.
     Every path (serial, pool, retried, serial fallback) returns exactly
     one record per solved member, so totals do not depend on ``n_jobs``.
     The counters sum each record's :class:`repro.hgpt.dp.DPStats` totals
@@ -664,8 +538,33 @@ def publish_member_metrics(records: Sequence[MemberRecord]) -> None:
         dp_seconds.observe(r.dp_seconds)
 
 
+def fold_members(
+    telemetry: Telemetry,
+    outcomes: Sequence[MemberOutcome],
+    logger: StructuredLogger = NULL_LOGGER,
+) -> None:
+    """Fold solved members into a run: records, logs, spans, metrics.
+
+    Appends each member's record, replays its log records (worker-side
+    for the pool path) through ``logger``, adds the members' self-measured
+    phase seconds to the current span's ``dp``/``repair`` children and
+    publishes their metrics.
+    """
+    records = [o.record for o in outcomes]
+    for outcome in outcomes:
+        telemetry.record_member(outcome.record)
+        if logger.enabled:
+            for record in outcome.log_records:
+                logger.emit(record)
+    telemetry.add_seconds("dp", sum(r.dp_seconds for r in records), len(records))
+    telemetry.add_seconds(
+        "repair", sum(r.repair_seconds for r in records), len(records)
+    )
+    publish_member_metrics(records)
+
+
 # ----------------------------------------------------------------------
-# engine + result
+# result + pipeline
 # ----------------------------------------------------------------------
 
 
@@ -736,98 +635,22 @@ class EngineResult:
         )
 
 
-class Engine:
-    """The staged Theorem-1 pipeline over one :class:`RunContext`."""
+def persist_report(result: EngineResult, **meta: object) -> None:
+    """Write ``result``'s run report to ``$REPRO_RUN_REPORT_DIR``, when set.
 
-    embed = EmbedStage()
-    quantize = QuantizeStage()
-    refine = RefineStage()
-
-    def run(self, ctx: RunContext) -> EngineResult:
-        """Execute embed → quantize → (dp + repair per member) → refine.
-
-        The ensemble members are independent; with ``config.n_jobs > 1``
-        their DP+repair work fans out to a process pool.  Results are
-        identical to the serial path (each member solve is deterministic
-        given its tree and grid, and members are compared in ensemble
-        order either way).
-        """
-        tel = ctx.telemetry
-        started = time.perf_counter()
-        ctx.logger.info(
-            "run_start",
-            path=tel.path,
-            n=ctx.graph.n,
-            m=ctx.graph.m,
-            n_trees=ctx.config.n_trees,
-            n_jobs=ctx.config.n_jobs,
-            seed=ctx.config.seed,
-        )
-        self.embed.run(ctx)
-        self.quantize.run(ctx)
-        assert ctx.trees is not None and ctx.grid is not None
-
-        base = len(tel.members)
-        # All fan-out — pool submission, per-member deadlines, retries,
-        # crash recovery and graceful degradation — lives in the
-        # resilience runner.  With the default (off) policy it reduces to
-        # the plain pool/serial fan-out: one attempt, failures propagate.
-        from repro.core.resilience import run_members
-
-        outcomes, failures, _restarts = run_members(ctx, base)
-
-        records = [o.record for o in outcomes]
-        for outcome in outcomes:
-            tel.record_member(outcome.record)
-            if ctx.logger.enabled:
-                for record in outcome.log_records:
-                    ctx.logger.emit(record)
-        # Fold the members' self-measured phase seconds (worker-side for
-        # the pool path) into this run's dp/repair spans.
-        tel.add_seconds("dp", sum(r.dp_seconds for r in records), len(records))
-        tel.add_seconds(
-            "repair", sum(r.repair_seconds for r in records), len(records)
-        )
-        for failure in failures:
-            tel.record_failure(failure)
-        publish_member_metrics(records)
-
-        best: Optional[MemberOutcome] = None
-        for outcome in outcomes:
-            if best is None or outcome.mapped_cost < best.mapped_cost:
-                best = outcome
-        assert best is not None
-        ctx.placement = best.placement
-
-        self.refine.run(ctx)
-        assert ctx.placement is not None
-        ctx.placement = ctx.placement.with_meta(
-            solver="hgp", config=ctx.config.describe()
-        )
-        get_registry().counter(
-            "repro_engine_runs_total",
-            "Completed engine runs by solve path",
-            labelnames=("path",),
-        ).inc(path=tel.path)
-        ctx.logger.info(
-            "run_done",
-            path=tel.path,
-            cost=ctx.placement.cost(),
-            seconds=time.perf_counter() - started,
-            members=len(outcomes),
-            failed_members=len(failures),
-            beam_escalations=sum(r.beam_escalations for r in records),
-        )
-        return EngineResult(
-            placement=ctx.placement,
-            tree_costs=[o.mapped_cost for o in outcomes],
-            dp_costs=[o.dp_cost for o in outcomes],
-            grid=ctx.grid,
-            telemetry=tel,
-            config=ctx.config,
-            run_id=ctx.run_id,
-            failures=list(failures),
-        )
+    The report lands as ``<path>_<run_id>.json``.  Only the function
+    that created a call's :class:`Telemetry` calls this, once, after the
+    whole call — so a portfolio, guided iteration or multilevel solve
+    leaves one report holding every member record of the call.  The
+    benchmark harness sets the variable to keep a report per solve.
+    """
+    report_dir = os.environ.get("REPRO_RUN_REPORT_DIR")
+    if not report_dir:
+        return
+    out = Path(report_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    target = out / f"{result.telemetry.path}_{result.run_id}.json"
+    target.write_text(result.report(**meta).to_json() + "\n")
 
 
 def run_pipeline(
@@ -841,12 +664,15 @@ def run_pipeline(
     run_id: Optional[str] = None,
     logger: Optional[StructuredLogger] = None,
 ) -> EngineResult:
-    """Run the staged engine on one instance and return its result.
+    """Run the Theorem-1 pipeline on one instance and return its result.
 
-    This is the single entry point every solve path uses.  Callers that
-    want a shared collector (portfolio members, streaming epochs) pass
-    their own ``telemetry``; otherwise a fresh one rooted at ``path`` is
-    created and attached to the result.
+    trees → quantize → per member DP + repair → argmin → refine, each
+    step under its span.  The ensemble members are independent; with
+    ``config.n_jobs > 1`` their DP + repair work fans out to a process
+    pool (:func:`repro.core.resilience.run_members`).  Results are
+    identical to the serial path: each member solve is deterministic
+    given its tree and grid, and members are compared in ensemble order
+    either way.
 
     Parameters
     ----------
@@ -855,11 +681,12 @@ def run_pipeline(
     config:
         Pipeline knobs.
     telemetry:
-        Collector to thread through the stages (``None`` = new
-        ``Telemetry(path)``).
+        Collector of a caller that runs several pipelines as one call
+        (portfolio, guided iteration, multilevel, streaming epochs).
+        ``None`` = a new ``Telemetry(path)``, owned by this run.
     path:
-        Root-span label for a fresh collector (``batch``, ``streaming``,
-        ``portfolio``, ``kbgp``, ``guided``, …).
+        Root-span label for a new collector (``batch``, ``streaming``,
+        ``serve``, …).
     run_id:
         Correlation id for this run's logs/report (``None`` = fresh id).
     logger:
@@ -867,40 +694,126 @@ def run_pipeline(
 
     Notes
     -----
-    When the ``REPRO_RUN_REPORT_DIR`` environment variable is set, the
-    run's JSON report is also written there as
-    ``<path>_<run_id>.json`` — the benchmark harness uses this to
-    persist a report for every engine run it triggers.
+    When this run created its collector and the ``REPRO_RUN_REPORT_DIR``
+    environment variable is set, the run's JSON report is written there
+    (:func:`persist_report`).  A caller that passes ``telemetry`` owns
+    the run and persists it itself.
     """
     d = np.asarray(demands, dtype=np.float64)
     validate_instance(g, hierarchy, d)
+    tel = telemetry if telemetry is not None else Telemetry(path)
     ctx = RunContext(
         graph=g,
         hierarchy=hierarchy,
         demands=d,
         config=config,
-        telemetry=telemetry if telemetry is not None else Telemetry(path),
+        telemetry=tel,
         run_id=run_id,
         logger=logger if logger is not None else NULL_LOGGER,
     )
-    prof_cfg = getattr(config, "profile", None)
-    session = None
-    if prof_cfg is not None and prof_cfg.enabled:
-        from repro.obs.profile import ProfileSession
+    log = ctx.logger
+    started = time.perf_counter()
+    log.info(
+        "run_start",
+        path=tel.path,
+        n=g.n,
+        m=g.m,
+        n_trees=config.n_trees,
+        n_jobs=config.n_jobs,
+        seed=config.seed,
+    )
 
-        session = ProfileSession(prof_cfg, ctx.telemetry).start()
-    try:
-        result = Engine().run(ctx)
-        result.incremental = incremental_enabled(config)
-    finally:
-        if session is not None:
-            # Stamp the profile before the report below is written, so
-            # persisted reports carry it (RunReport schema v3).
-            ctx.telemetry.profile = session.finish()
-    report_dir = os.environ.get("REPRO_RUN_REPORT_DIR")
-    if report_dir:
-        out = Path(report_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / f"{ctx.telemetry.path}_{ctx.run_id}.json"
-        target.write_text(result.report().to_json() + "\n")
+    # The Räcke step, through the content-addressed cache (kind "trees",
+    # keyed by graph digest + ensemble params + seed): a warm run on an
+    # unchanged instance skips tree construction, and the span's
+    # cache_hits / cache_misses counters record which path ran.
+    with tel.span("trees"):
+        cache = get_cache() if config.cache.enabled else None
+        parts = None
+        if cache is not None:
+            parts = ensemble_cache_parts(
+                g, config.n_trees, config.tree_methods, config.seed
+            )
+        hit, trees = False, None
+        if parts is not None:
+            hit, trees = cache.lookup("trees", parts)
+        if hit:
+            tel.counter("cache_hits", 1)
+            log.info("trees_cache_hit", n_trees=len(trees))
+        else:
+            trees = racke_ensemble(
+                g,
+                n_trees=config.n_trees,
+                methods=config.tree_methods,
+                seed=config.seed,
+                use_cache=False,
+            )
+            if parts is not None:
+                cache.store("trees", parts, list(trees))
+                tel.counter("cache_misses", 1)
+        ctx.trees = list(trees)
+        tel.counter("n_trees", len(ctx.trees))
+
+    with tel.span("quantize"):
+        ctx.grid = make_grid(hierarchy, d, config)
+        tel.counter("grid_cells", float(ctx.grid.quantize(d).sum()))
+
+    # All fan-out — pool submission, per-member deadlines, retries,
+    # crash recovery and graceful degradation — lives in the resilience
+    # runner.  With the default (off) policy it reduces to the plain
+    # pool/serial fan-out: one attempt, failures propagate.
+    from repro.core.resilience import run_members
+
+    outcomes, failures, _restarts = run_members(ctx, len(tel.members))
+    fold_members(tel, outcomes, log)
+    for failure in failures:
+        tel.record_failure(failure)
+
+    # Theorem 7's argmin: the first member with the lowest true cost.
+    placement = min(outcomes, key=lambda o: o.mapped_cost).placement
+
+    with tel.span("refine"):
+        passes = config.refine_passes if config.refine else 0
+        if passes > 0:
+            from repro.baselines.local_search import refine_placement
+
+            # Refinement may shuffle load but never worsen the balance
+            # the repair achieved (and always stays within the Theorem-1
+            # bound).
+            placement = refine_placement(
+                placement,
+                max_passes=passes,
+                max_violation=max(1.0, placement.max_violation()),
+                allow_swaps=True,
+            )
+        tel.counter("passes", passes)
+    placement = placement.with_meta(solver="hgp", config=config.describe())
+
+    get_registry().counter(
+        "repro_engine_runs_total",
+        "Completed engine runs by solve path",
+        labelnames=("path",),
+    ).inc(path=tel.path)
+    log.info(
+        "run_done",
+        path=tel.path,
+        cost=placement.cost(),
+        seconds=time.perf_counter() - started,
+        members=len(outcomes),
+        failed_members=len(failures),
+        beam_escalations=sum(o.record.beam_escalations for o in outcomes),
+    )
+    result = EngineResult(
+        placement=placement,
+        tree_costs=[o.mapped_cost for o in outcomes],
+        dp_costs=[o.dp_cost for o in outcomes],
+        grid=ctx.grid,
+        telemetry=tel,
+        config=config,
+        run_id=ctx.run_id,
+        failures=list(failures),
+        incremental=incremental_enabled(config),
+    )
+    if telemetry is None:
+        persist_report(result)
     return result

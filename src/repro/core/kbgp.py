@@ -44,8 +44,9 @@ def solve_kbgp(
     paper's reduction), the returned placement's :meth:`cost` is exactly
     the weight of the edges cut by the partition, and its
     :meth:`max_violation` the balance violation.  Pass a ``telemetry``
-    collector to capture the run's structured report; a fresh
-    ``Telemetry("kbgp")`` is used otherwise.
+    collector to capture the run's structured report; otherwise a fresh
+    ``Telemetry("kbgp")`` is used and this call persists its report when
+    ``REPRO_RUN_REPORT_DIR`` is set.
     """
     if demands is None:
         d = np.full(g.n, k / max(g.n, 1))
@@ -53,11 +54,14 @@ def solve_kbgp(
     else:
         d = np.asarray(demands, dtype=np.float64)
     hier = kbgp_hierarchy(k)
-    from repro.core.engine import run_pipeline
+    from repro.core.engine import persist_report, run_pipeline
 
     tel = telemetry if telemetry is not None else Telemetry("kbgp")
     tel.counter("k", float(k))
-    return run_pipeline(g, hier, d, config, telemetry=tel).placement
+    result = run_pipeline(g, hier, d, config, telemetry=tel)
+    if telemetry is None:
+        persist_report(result)
+    return result.placement
 
 
 def minimum_bisection(

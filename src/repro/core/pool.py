@@ -1,7 +1,7 @@
 """Persistent worker pool with per-generation shared payloads.
 
 The old parallel path created a fresh ``ProcessPoolExecutor`` inside
-every ``Engine.run`` and shipped the *same* hierarchy/demands/config/grid
+every ``run_pipeline`` call and shipped the *same* hierarchy/demands/config/grid
 in every member-job tuple — so an 8-member run pickled the shared
 instance 8 times and paid full worker start-up on every solve.  This
 module keeps one process pool alive for the lifetime of the process and
@@ -106,7 +106,7 @@ def get_pool(workers: int) -> cf.ProcessPoolExecutor:
 
     A pool at least as large as requested is reused; a larger request
     replaces it (the old one is drained first).  The pool survives
-    across ``Engine.run`` calls and is torn down at interpreter exit.
+    across ``run_pipeline`` calls and is torn down at interpreter exit.
     """
     global _POOL, _POOL_WORKERS, _POOL_CREATES
     if workers < 1:

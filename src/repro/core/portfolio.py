@@ -6,10 +6,10 @@ configurations and keeps the cheapest valid placement — the standard way
 to spend extra compute for quality without touching the algorithm.
 Combine with ``n_jobs`` inside each member for two-level parallelism.
 
-Every member runs through the shared staged engine with one
-``Telemetry("portfolio")`` collector, so a portfolio run emits a single
-run report whose spans accumulate across members and whose member
-records cover every tree solved by every configuration.
+Every member runs through :func:`repro.core.engine.run_pipeline` with
+one ``Telemetry("portfolio")`` collector, so a portfolio run emits a
+single run report whose spans accumulate across members and whose
+member records cover every tree solved by every configuration.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.errors import InvalidInputError
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.core.config import SolverConfig
-from repro.core.engine import EngineResult, run_pipeline
+from repro.core.engine import EngineResult, persist_report, run_pipeline
 from repro.core.telemetry import Telemetry
 
 __all__ = ["solve_hgp_portfolio", "seed_portfolio"]
@@ -56,7 +56,9 @@ def solve_hgp_portfolio(
         Size of the default seed portfolio.
     telemetry:
         Shared collector for all members (``None`` = a fresh
-        ``Telemetry("portfolio")``, attached to the returned result).
+        ``Telemetry("portfolio")``, attached to the returned result and
+        owned by this call, which persists its one report when
+        ``REPRO_RUN_REPORT_DIR`` is set).
 
     Returns
     -------
@@ -80,4 +82,6 @@ def solve_hgp_portfolio(
             best_member = i
     assert best is not None
     best.placement = best.placement.with_meta(portfolio_member=best_member)
+    if telemetry is None:
+        persist_report(best)
     return best

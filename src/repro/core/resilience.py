@@ -3,7 +3,7 @@
 Theorem 1's guarantee is an *expectation over a distribution* of
 decomposition trees, so an ensemble run stays statistically meaningful
 even when individual members are lost — but before this module existed,
-one crashed pool worker aborted the whole ``Engine.run`` with a raw
+one crashed pool worker aborted the whole ``run_pipeline`` with a raw
 ``BrokenProcessPool`` and a stuck member solve had no deadline.  This
 module gives the fan-out a production failure model:
 
@@ -210,7 +210,7 @@ def _pool_attempt(
             # member_job entry, microseconds after submit), poisoning the
             # executor mid-loop.  Record the unsubmitted members as crash
             # failures so the wave restarts the pool and retries, instead
-            # of the raw BrokenProcessPool escaping Engine.run.
+            # of the raw BrokenProcessPool escaping run_pipeline.
             failed[m] = ("crash", exc)
             crashed = True
     waiting = set(futures)

@@ -1,8 +1,9 @@
-"""Structured run telemetry for the staged solver engine.
+"""Structured run telemetry for the solver engine.
 
-Every engine run (batch, streaming re-optimisation, portfolio member,
-k-BGP reduction, guided iteration) threads one :class:`Telemetry` object
-through its stages.  It records three kinds of data:
+Every top-level solve call (batch, streaming re-optimisation, portfolio,
+k-BGP reduction, guided iteration, multilevel) threads one
+:class:`Telemetry` object through its engine runs.  It records three
+kinds of data:
 
 * **Spans** — a tree of named wall-clock intervals.  A stage entered
   twice under the same parent *accumulates* into one span (duration sums,
@@ -39,6 +40,8 @@ __all__ = [
     "RunReport",
     "active_spans",
     "mark_active",
+    "add_span_observer",
+    "remove_span_observer",
 ]
 
 #: Thread ident -> stack of open span names, maintained by
@@ -48,6 +51,40 @@ __all__ = [
 #: inside — which is why it lives at module level rather than on one
 #: collector instance: ``sys._current_frames`` is process-wide too.
 _ACTIVE_SPANS: Dict[int, List[str]] = {}
+
+
+#: Process-wide span observers, notified on every :meth:`Telemetry.span`
+#: enter and exit of every collector in the process — the same scope as
+#: :data:`_ACTIVE_SPANS`, so a profiler wrapped around any call (a
+#: portfolio of several runs, a multilevel solve) sees all of its spans.
+_SPAN_OBSERVERS: List[Callable[[str, str, float], None]] = []
+
+
+def add_span_observer(observer: Callable[[str, str, float], None]) -> None:
+    """Register ``observer(event, name, seconds)`` span callbacks.
+
+    ``event`` is ``"enter"`` (``seconds == 0.0``) or ``"exit"``
+    (``seconds`` = the block's duration).  Used by the profiler's stage
+    resource monitor to bracket RSS/CPU/tracemalloc per stage.  Observer
+    exceptions are swallowed — observability must never fail a solve.
+    """
+    _SPAN_OBSERVERS.append(observer)
+
+
+def remove_span_observer(observer: Callable[[str, str, float], None]) -> None:
+    """Unregister a span observer (no-op when absent)."""
+    try:
+        _SPAN_OBSERVERS.remove(observer)
+    except ValueError:
+        pass
+
+
+def _notify(event: str, name: str, seconds: float) -> None:
+    for obs in tuple(_SPAN_OBSERVERS):
+        try:
+            obs(event, name, seconds)
+        except Exception:
+            pass
 
 
 def active_spans() -> Dict[int, str]:
@@ -277,38 +314,6 @@ class Telemetry:
         self._stack: List[Span] = [self.root]
         self.members: List[MemberRecord] = []
         self.failures: List[MemberFailure] = []
-        #: Profiler payload (:meth:`repro.obs.profile.SamplingProfiler.
-        #: summary` shape) stamped by the pipeline when profiling is on;
-        #: flows into :attr:`RunReport.profile`.
-        self.profile: Optional[dict] = None
-        self._observers: List[Callable[[str, str, float], None]] = []
-
-    def add_span_observer(self, observer: Callable[[str, str, float], None]) -> None:
-        """Register ``observer(event, name, seconds)`` span callbacks.
-
-        ``event`` is ``"enter"`` (``seconds == 0.0``) or ``"exit"``
-        (``seconds`` = the block's duration).  Used by the profiler's
-        stage resource monitor to bracket RSS/CPU/tracemalloc per stage.
-        Observer exceptions are swallowed — observability must never
-        fail a solve.
-        """
-        self._observers.append(observer)
-
-    def remove_span_observer(
-        self, observer: Callable[[str, str, float], None]
-    ) -> None:
-        """Unregister a span observer (no-op when absent)."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
-    def _notify(self, event: str, name: str, seconds: float) -> None:
-        for obs in self._observers:
-            try:
-                obs(event, name, seconds)
-            except Exception:
-                pass
 
     @property
     def path(self) -> str:
@@ -327,7 +332,7 @@ class Telemetry:
         self._stack.append(sp)
         ident = threading.get_ident()
         _ACTIVE_SPANS.setdefault(ident, []).append(name)
-        self._notify("enter", name, 0.0)
+        _notify("enter", name, 0.0)
         start = time.perf_counter()
         try:
             yield sp
@@ -341,7 +346,7 @@ class Telemetry:
                 stack.pop()
                 if not stack:
                     _ACTIVE_SPANS.pop(ident, None)
-            self._notify("exit", name, elapsed)
+            _notify("exit", name, elapsed)
 
     def counter(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to counter ``name`` on the current span."""
@@ -387,7 +392,6 @@ class Telemetry:
             meta=dict(meta),
             failures=list(self.failures),
             degraded=self.degraded,
-            profile=self.profile,
         )
 
 
@@ -410,7 +414,8 @@ class RunReport:
     degraded: bool = False
     #: Profiler payload when the run was profiled: sample counts per
     #: span, collapsed stacks, per-stage RSS/CPU/tracemalloc deltas
-    #: (see :mod:`repro.obs.profile`).  ``None`` for unprofiled runs.
+    #: (:attr:`repro.obs.profile.ProfileSession.profile`, stamped by the
+    #: caller that profiled the solve).  ``None`` for unprofiled runs.
     profile: Optional[dict] = None
 
     #: v2 added ``degraded`` + ``failures``; v3 added ``profile``

@@ -105,9 +105,9 @@ def solve_hgp_iterated(
 ):
     """Iterate the pipeline with placement-guided warm-started trees.
 
-    Both the initial ensemble solve and every guided round run through
-    the shared staged engine, so the whole iteration emits one structured
-    run report (guided trees appear as extra member records with
+    Both the initial ensemble solve and every guided round fold into one
+    collector, so the whole iteration emits one structured run report
+    (guided trees appear as extra member records with
     ``method == "guided"``).
 
     Parameters
@@ -123,7 +123,8 @@ def solve_hgp_iterated(
     telemetry:
         Shared :class:`repro.core.telemetry.Telemetry` collector
         (``None`` = a fresh ``Telemetry("guided")``, attached to the
-        returned result).
+        returned result and owned by this call, which persists its one
+        report when ``REPRO_RUN_REPORT_DIR`` is set).
 
     Returns
     -------
@@ -134,7 +135,8 @@ def solve_hgp_iterated(
     """
     from repro.core.config import SolverConfig
     from repro.core.engine import (
-        publish_member_metrics,
+        fold_members,
+        persist_report,
         run_pipeline,
         solve_member,
     )
@@ -152,10 +154,7 @@ def solve_hgp_iterated(
         outcome = solve_member(
             guided, hierarchy, d, cfg, result.grid, index=len(tel.members)
         )
-        tel.add_seconds("dp", outcome.record.dp_seconds)
-        tel.add_seconds("repair", outcome.record.repair_seconds)
-        tel.record_member(outcome.record)
-        publish_member_metrics([outcome.record])
+        fold_members(tel, [outcome])
         placement = outcome.placement
         if cfg.refine and cfg.refine_passes > 0:
             from repro.baselines.local_search import refine_placement
@@ -175,4 +174,6 @@ def solve_hgp_iterated(
             )
             improved_rounds += 1
     result.placement = result.placement.with_meta(guided_rounds=improved_rounds)
+    if telemetry is None:
+        persist_report(result)
     return result

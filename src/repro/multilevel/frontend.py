@@ -23,19 +23,18 @@ per-level refinement spans (``level_0`` … adjacent to the engine tree).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.baselines.fm import HierarchyRefineStats, fm_refine_hierarchy
-from repro.cache import resolve_cache, seed_token
+from repro.cache import get_cache, seed_token
 from repro.core.config import MultilevelConfig, SolverConfig
 from repro.core.engine import (
     EngineResult,
     incremental_enabled,
+    persist_report,
     run_pipeline,
     validate_instance,
 )
@@ -111,7 +110,9 @@ def solve_multilevel(
         *is* the opt-in).  The coarse solve runs this very configuration
         with ``multilevel.enabled`` cleared.
     telemetry:
-        Shared collector (``None`` = fresh one rooted at ``path``).
+        Shared collector (``None`` = a fresh one rooted at ``path``,
+        owned by this call: with ``REPRO_RUN_REPORT_DIR`` set, the whole
+        front-end report is persisted once, after refinement).
     run_id:
         Correlation id reused for the embedded engine run (``None`` =
         fresh id), so the front-end report and the engine's logs line up.
@@ -131,17 +132,6 @@ def solve_multilevel(
         "repro_multilevel_runs_total", "Multilevel front-end solves started."
     ).inc()
 
-    # Profile the whole front-end (coarsen + solve + refine), not just
-    # the embedded engine run: the session wraps everything below and
-    # profile.enabled is cleared on the inner config so run_pipeline
-    # does not start a second, nested profiler.
-    prof_cfg = getattr(config, "profile", None)
-    profile_session = None
-    if prof_cfg is not None and prof_cfg.enabled:
-        from repro.obs.profile import ProfileSession
-
-        profile_session = ProfileSession(prof_cfg, tel).start()
-
     # Incremental runs add a content-addressed ``coarsening`` cache tier:
     # the full level stack is keyed by graph digest + demands + every
     # coarsening knob, so a reoptimize on an unchanged graph (or one
@@ -156,7 +146,7 @@ def solve_multilevel(
     if incremental_enabled(config):
         seed_parts = seed_token(config.seed)
         if seed_parts is not None:
-            coarsen_cache = resolve_cache(config.cache)
+            coarsen_cache = get_cache()
             coarsen_parts = (
                 g.digest(),
                 d,
@@ -214,12 +204,8 @@ def solve_multilevel(
     # The coarsest instance goes through the unchanged engine path, so
     # cache / pool / resilience / telemetry behave exactly as in a flat
     # solve.  Sharing ``tel`` nests the engine's stage spans under
-    # ``coarse_solve``.
+    # ``coarse_solve`` (and leaves persisting the report to this call).
     inner_cfg = replace(config, multilevel=replace(ml, enabled=False))
-    if profile_session is not None:
-        inner_cfg = replace(
-            inner_cfg, profile=replace(inner_cfg.profile, enabled=False)
-        )
     with tel.span("coarse_solve"):
         coarse = run_pipeline(
             levels.coarsest,
@@ -281,10 +267,6 @@ def solve_multilevel(
             "refine_gain": gain_total,
         },
     )
-    if profile_session is not None:
-        # Stamp before the report below is written so persisted reports
-        # carry the profile (RunReport schema v3).
-        tel.profile = profile_session.finish()
     result = MultilevelResult(
         placement=placement,
         tree_costs=coarse.tree_costs,
@@ -299,12 +281,6 @@ def solve_multilevel(
         levels=levels,
         refine_stats=refine_stats,
     )
-    report_dir = os.environ.get("REPRO_RUN_REPORT_DIR")
-    if report_dir:
-        # Overwrite the engine's coarse-only report (same path + run_id)
-        # with the full front-end report including refinement spans.
-        out = Path(report_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        target = out / f"{tel.path}_{run_id}.json"
-        target.write_text(result.report().to_json() + "\n")
+    if telemetry is None:
+        persist_report(result)
     return result

@@ -120,6 +120,7 @@ class StructuredLogger:
         self.sinks: List[Sink] = list(sinks or [])
         self.run_id = run_id
         self.min_level = min_level
+        self._threshold = LEVELS.index(min_level)
         self.bound = dict(bound)
 
     @property
@@ -140,9 +141,7 @@ class StructuredLogger:
 
     def log(self, event: str, level: str = "info", **fields: object) -> None:
         """Emit one record to every sink (no-op without sinks)."""
-        if not self.sinks:
-            return
-        if LEVELS.index(level) < LEVELS.index(self.min_level):
+        if not self.sinks or LEVELS.index(level) < self._threshold:
             return
         record: Dict[str, object] = {"ts": time.time(), "level": level, "event": event}
         if self.run_id is not None:
@@ -152,7 +151,12 @@ class StructuredLogger:
         self.emit(record)
 
     def emit(self, record: Dict[str, object]) -> None:
-        """Forward an already-built record verbatim (worker replay path)."""
+        """Forward an already-built record verbatim (worker replay path).
+
+        Records below ``min_level`` are dropped, as in :meth:`log`.
+        """
+        if LEVELS.index(str(record.get("level", "info"))) < self._threshold:
+            return
         for sink in self.sinks:
             sink(record)
 

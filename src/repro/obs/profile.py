@@ -16,18 +16,19 @@ thread).
 
 Three public pieces:
 
-* :class:`ProfileConfig` — the knobs, embedded in
-  :class:`repro.core.config.SolverConfig` and steered by
+* :class:`ProfileConfig` — the knobs, steered by
   ``repro solve --profile/--profile-hz/--profile-mem``.
 * :class:`SamplingProfiler` — start/stop flight recorder with
   collapsed-stack (flamegraph-compatible) and JSON summaries.  Also
   used ad hoc by the ``/debug/profile?seconds=N`` exporter endpoint.
-* :class:`StageResourceMonitor` — a telemetry span observer recording
-  per-stage RSS / CPU-time deltas and (opt-in) ``tracemalloc``
-  allocation deltas.
+* :class:`StageResourceMonitor` — a process-wide telemetry span
+  observer recording per-stage RSS / CPU-time deltas and (opt-in)
+  ``tracemalloc`` allocation deltas.
 
-:class:`ProfileSession` bundles the two around one engine run and
-produces the ``profile`` payload of ``RunReport`` schema v3.
+:class:`ProfileSession` bundles the two around any call (one solve, a
+portfolio, a multilevel run) and produces the ``profile`` payload of
+``RunReport`` schema v3; the caller that profiled stamps it on the
+report.  The solver itself never starts a profiler.
 """
 
 from __future__ import annotations
@@ -40,7 +41,11 @@ from collections import Counter as _TallyCounter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.telemetry import Telemetry, active_spans
+from repro.core.telemetry import (
+    active_spans,
+    add_span_observer,
+    remove_span_observer,
+)
 from repro.errors import InvalidInputError
 
 __all__ = [
@@ -67,9 +72,6 @@ class ProfileConfig:
 
     Attributes
     ----------
-    enabled:
-        Run the sampling profiler + stage resource monitor around the
-        solve and stamp the results into the run report (schema v3).
     hz:
         Sampling rate.  The default 97 Hz is prime (avoids phase-locking
         with periodic work) and keeps overhead well under 5%.
@@ -83,7 +85,6 @@ class ProfileConfig:
         keeps the (truncated) collapsed stacks in the report only.
     """
 
-    enabled: bool = False
     hz: float = 97.0
     memory: bool = False
     path: Optional[str] = None
@@ -328,8 +329,8 @@ class SamplingProfiler:
 class StageResourceMonitor:
     """Telemetry span observer: per-stage RSS / CPU / allocation deltas.
 
-    Attach to a :class:`~repro.core.telemetry.Telemetry` and every span
-    entered afterwards accumulates, per span name, the wall/CPU seconds
+    Once attached, every telemetry span entered in the process
+    accumulates, per span name, the wall/CPU seconds
     spent inside it and how much the process RSS moved across it.  With
     ``memory=True`` a ``tracemalloc`` trace is started (if not already
     running) and per-stage current/peak allocation deltas are recorded
@@ -346,25 +347,21 @@ class StageResourceMonitor:
         self._lock = threading.Lock()
         self._brackets: Dict[int, List[tuple]] = {}
         self._we_started_tracemalloc = False
-        self._telemetry: Optional[Telemetry] = None
 
-    def attach(self, telemetry: Telemetry) -> "StageResourceMonitor":
-        """Start observing ``telemetry`` (and tracemalloc when asked)."""
+    def attach(self) -> "StageResourceMonitor":
+        """Start observing every span (and tracemalloc when asked)."""
         if self.memory:
             import tracemalloc
 
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
                 self._we_started_tracemalloc = True
-        self._telemetry = telemetry
-        telemetry.add_span_observer(self._on_span)
+        add_span_observer(self._on_span)
         return self
 
     def detach(self) -> None:
         """Stop observing; stop tracemalloc if this monitor started it."""
-        if self._telemetry is not None:
-            self._telemetry.remove_span_observer(self._on_span)
-            self._telemetry = None
+        remove_span_observer(self._on_span)
         if self._we_started_tracemalloc:
             import tracemalloc
 
@@ -425,35 +422,37 @@ class StageResourceMonitor:
 
 
 class ProfileSession:
-    """One profiled solve: sampler + stage monitor, producing report v3.
+    """Profile any call: sampler + stage monitor, producing report v3.
 
-    Usage (what :func:`repro.core.engine.run_pipeline` does)::
+    Usage (what ``repro solve --profile`` does)::
 
-        session = ProfileSession(config.profile, telemetry)
-        session.start()
-        try:
-            ...  # the solve
-        finally:
-            telemetry.profile = session.finish()
+        with ProfileSession(ProfileConfig(hz=200)) as session:
+            result = solve_hgp(g, hierarchy, demands, config)
+        report = result.report()
+        report.profile = session.profile
 
-    :meth:`finish` stops everything, writes the full collapsed profile
-    to ``config.path`` when set, and returns the JSON-ready ``profile``
+    The stage monitor observes spans process-wide, so every run inside
+    the block counts — all members of a portfolio, the coarsening and
+    refinement of a multilevel solve.  :meth:`finish` (called on exit)
+    stops everything, writes the full collapsed profile to
+    ``config.path`` when set, and returns the JSON-ready ``profile``
     payload (sampler summary, truncated collapsed stacks, per-stage
-    resources).
+    resources), also kept as :attr:`profile`.
     """
 
-    def __init__(self, config: ProfileConfig, telemetry: Telemetry):
+    def __init__(self, config: ProfileConfig = ProfileConfig()):
         self.config = config
         self.profiler = SamplingProfiler(hz=config.hz)
         self.monitor = StageResourceMonitor(memory=config.memory)
-        self._telemetry = telemetry
+        #: The payload of the last :meth:`finish` (``None`` before).
+        self.profile: Optional[dict] = None
         self._started = False
 
     def start(self) -> "ProfileSession":
         """Attach the stage monitor and launch the sampler."""
         if self._started:
             return self
-        self.monitor.attach(self._telemetry)
+        self.monitor.attach()
         self.profiler.start()
         self._started = True
         return self
@@ -480,6 +479,7 @@ class ProfileSession:
         }
         if self.config.path:
             payload["collapsed_path"] = str(self.config.path)
+        self.profile = payload
         return payload
 
     def __enter__(self) -> "ProfileSession":
@@ -487,4 +487,4 @@ class ProfileSession:
 
     def __exit__(self, *exc) -> None:
         if self._started:
-            self._telemetry.profile = self.finish()
+            self.finish()

@@ -402,7 +402,11 @@ class OnlinePlacer:
     def _reoptimize(self, migration_budget: Optional[int]) -> int:
         """The re-optimisation itself; returns migrations performed."""
         g, d, current, tasks = self.live_graph()
-        from repro.core.engine import incremental_enabled, run_pipeline
+        from repro.core.engine import (
+            incremental_enabled,
+            persist_report,
+            run_pipeline,
+        )
         from repro.baselines.local_search import enforce_capacity
 
         # Incremental-vs-full decision: when the fraction of live tasks
@@ -455,9 +459,9 @@ class OnlinePlacer:
                     "dirty-fraction gate",
                 ).inc()
         self._dirty.clear()
-        self.last_report = result.report(
-            live_tasks=g.n, dirty_frac=round(dirty_frac, 6)
-        )
+        meta = {"live_tasks": g.n, "dirty_frac": round(dirty_frac, 6)}
+        self.last_report = result.report(**meta)
+        persist_report(result, **meta)
         trees_span = tel.root.lookup("trees")
         if trees_span is not None:
             self.counters.tree_cache_hits += int(

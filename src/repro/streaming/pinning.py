@@ -94,7 +94,8 @@ def place_dag(
         Per-replica CPU budget used when ``replicate_hot`` is set.
     telemetry:
         Collector threaded through the ``"hgp"`` engine run (``None`` =
-        a fresh ``Telemetry("streaming")``); ignored by baselines.
+        a fresh one rooted at ``streaming``, owned by the run);
+        ignored by baselines.
 
     Returns
     -------
@@ -109,8 +110,9 @@ def place_dag(
         from repro.core.engine import run_pipeline
 
         cfg = config if config is not None else SolverConfig(seed=seed or 0)
-        tel = telemetry if telemetry is not None else Telemetry("streaming")
-        placement = run_pipeline(g, hierarchy, demands, cfg, telemetry=tel).placement
+        placement = run_pipeline(
+            g, hierarchy, demands, cfg, telemetry=telemetry, path="streaming"
+        ).placement
     else:
         from repro.baselines import placement_baselines
 

@@ -4,7 +4,14 @@ import time
 
 import pytest
 
-from repro.core.telemetry import MemberRecord, RunReport, Span, Telemetry
+from repro.core.telemetry import (
+    MemberRecord,
+    RunReport,
+    Span,
+    Telemetry,
+    add_span_observer,
+    remove_span_observer,
+)
 
 
 class TestSpans:
@@ -136,10 +143,24 @@ class TestSerialization:
 
 
 class TestSpanObservers:
-    def test_enter_exit_events_fire(self):
+    @pytest.fixture
+    def observe(self):
+        """Register process-wide observers, removed again after the test."""
+        added = []
+
+        def add(observer):
+            add_span_observer(observer)
+            added.append(observer)
+            return observer
+
+        yield add
+        for observer in added:
+            remove_span_observer(observer)
+
+    def test_enter_exit_events_fire(self, observe):
         tel = Telemetry("x")
         events = []
-        tel.add_span_observer(lambda ev, name, s: events.append((ev, name, s)))
+        observe(lambda ev, name, s: events.append((ev, name, s)))
         with tel.span("outer"):
             with tel.span("inner"):
                 pass
@@ -156,26 +177,26 @@ class TestSpanObservers:
         tel = Telemetry("x")
         events = []
         obs = lambda ev, name, s: events.append(ev)  # noqa: E731
-        tel.add_span_observer(obs)
-        tel.remove_span_observer(obs)
+        add_span_observer(obs)
+        remove_span_observer(obs)
         with tel.span("a"):
             pass
         assert events == []
 
-    def test_observer_exceptions_swallowed(self):
+    def test_observer_exceptions_swallowed(self, observe):
         tel = Telemetry("x")
 
         def bad(ev, name, s):
             raise RuntimeError("observer bug")
 
-        tel.add_span_observer(bad)
+        observe(bad)
         with tel.span("a"):  # must not raise
             pass
         assert tel.root.child("a").count == 1
 
-    def test_span_timing_survives_observer(self):
+    def test_span_timing_survives_observer(self, observe):
         tel = Telemetry("x")
-        tel.add_span_observer(lambda *a: None)
+        observe(lambda *a: None)
         with tel.span("a"):
             time.sleep(0.01)
         assert tel.root.child("a").seconds >= 0.005
@@ -186,9 +207,8 @@ class TestSchemaV3:
         assert RunReport.SCHEMA_VERSION == 3
 
     def test_profile_roundtrips(self):
-        tel = Telemetry("x")
-        tel.profile = {"samples": 5, "span_shares": {"dp": 1.0}}
-        report = tel.report(cost=1.0)
+        report = Telemetry("x").report(cost=1.0)
+        report.profile = {"samples": 5, "span_shares": {"dp": 1.0}}
         again = RunReport.from_json(report.to_json())
         assert again.profile == {"samples": 5, "span_shares": {"dp": 1.0}}
 

@@ -68,6 +68,13 @@ class TestStructuredLogger:
         logger.emit(record)
         assert sink.records == [record]
 
+    def test_emit_drops_records_below_min_level(self):
+        sink = ListSink()
+        logger = StructuredLogger([sink], min_level="info")
+        logger.emit({"ts": 1.0, "level": "debug", "event": "quiet"})
+        logger.emit({"ts": 1.0, "level": "warning", "event": "loud"})
+        assert [r["event"] for r in sink.records] == ["loud"]
+
 
 class TestSinks:
     def test_jsonl_sink_writes_parseable_lines(self, tmp_path):
@@ -132,6 +139,22 @@ class TestEnginePropagation:
         assert {r["run_id"] for r in members} == {result.run_id}
         # The records were produced in the worker processes.
         assert all(r["pid"] != os.getpid() for r in members)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_replayed_member_records_honour_min_level(self, instance, n_jobs):
+        """Debug-level member_solved records stay out of an info logger."""
+        g, hier, d = instance
+        sink = ListSink()
+        run_pipeline(
+            g,
+            hier,
+            d,
+            SolverConfig(n_trees=2, refine=False, seed=0, n_jobs=n_jobs),
+            logger=StructuredLogger([sink], min_level="info"),
+        )
+        events = [r["event"] for r in sink.records]
+        assert "member_solved" not in events
+        assert events[0] == "run_start" and events[-1] == "run_done"
 
     def test_silent_without_logger(self, instance):
         g, hier, d = instance

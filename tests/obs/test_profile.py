@@ -38,7 +38,6 @@ def _busy(seconds: float) -> float:
 class TestProfileConfig:
     def test_defaults(self):
         cfg = ProfileConfig()
-        assert not cfg.enabled
         assert cfg.hz == pytest.approx(97.0)
         assert not cfg.memory
         assert cfg.path is None
@@ -205,7 +204,7 @@ class TestSamplingProfiler:
 class TestStageResourceMonitor:
     def test_records_stage_deltas(self):
         tel = Telemetry("t")
-        mon = StageResourceMonitor().attach(tel)
+        mon = StageResourceMonitor().attach()
         with tel.span("stage_a"):
             _busy(0.05)
         with tel.span("stage_a"):
@@ -222,7 +221,7 @@ class TestStageResourceMonitor:
 
     def test_nested_spans_charged_to_both(self):
         tel = Telemetry("t")
-        mon = StageResourceMonitor().attach(tel)
+        mon = StageResourceMonitor().attach()
         with tel.span("outer"):
             with tel.span("inner"):
                 _busy(0.05)
@@ -233,7 +232,7 @@ class TestStageResourceMonitor:
 
     def test_detach_stops_observing(self):
         tel = Telemetry("t")
-        mon = StageResourceMonitor().attach(tel)
+        mon = StageResourceMonitor().attach()
         mon.detach()
         with tel.span("after"):
             pass
@@ -241,7 +240,7 @@ class TestStageResourceMonitor:
 
     def test_memory_mode_tracks_allocations(self):
         tel = Telemetry("t")
-        mon = StageResourceMonitor(memory=True).attach(tel)
+        mon = StageResourceMonitor(memory=True).attach()
         with tel.span("alloc"):
             blob = [bytes(1024) for _ in range(2000)]  # ~2 MB
         mon.detach()
@@ -262,9 +261,9 @@ class TestRssBytes:
 class TestProfileSession:
     def test_payload_shape_and_file(self, tmp_path):
         out = tmp_path / "prof.collapsed"
-        cfg = ProfileConfig(enabled=True, hz=250.0, path=str(out))
+        cfg = ProfileConfig(hz=250.0, path=str(out))
         tel = Telemetry("t")
-        session = ProfileSession(cfg, tel).start()
+        session = ProfileSession(cfg).start()
         with tel.span("work"):
             _busy(0.2)
         payload = session.finish()
@@ -278,21 +277,21 @@ class TestProfileSession:
         assert payload["stages"]["work"]["count"] == 1
         json.dumps(payload)
 
-    def test_context_manager_stamps_telemetry(self):
+    def test_context_manager_keeps_profile(self):
         tel = Telemetry("t")
-        with ProfileSession(ProfileConfig(enabled=True, hz=200.0), tel):
+        with ProfileSession(ProfileConfig(hz=200.0)) as session:
             with tel.span("w"):
                 _busy(0.1)
-        assert tel.profile is not None
-        assert tel.profile["samples"] > 0
+        assert session.profile is not None
+        assert session.profile["samples"] > 0
 
     def test_report_roundtrip_schema_v3(self):
         tel = Telemetry("t")
-        session = ProfileSession(ProfileConfig(enabled=True, hz=200.0), tel).start()
+        session = ProfileSession(ProfileConfig(hz=200.0)).start()
         with tel.span("w"):
             _busy(0.1)
-        tel.profile = session.finish()
         report = tel.report(cost=1.0)
+        report.profile = session.finish()
         assert report.profile is not None
         again = RunReport.from_json(report.to_json())
         assert again.profile == report.profile
@@ -319,14 +318,10 @@ class TestPipelineIntegration:
         from repro.core.engine import run_pipeline
 
         g, h, d = clustered_instance
-        cfg = SolverConfig(
-            n_trees=4,
-            seed=5,
-            profile=ProfileConfig(enabled=True, hz=500.0),
-        )
-        result = run_pipeline(g, h, d, cfg, path="profile-test")
-        report = result.report()
-        profile = report.profile
+        cfg = SolverConfig(n_trees=4, seed=5)
+        with ProfileSession(ProfileConfig(hz=500.0)) as session:
+            run_pipeline(g, h, d, cfg, path="profile-test")
+        profile = session.profile
         assert profile is not None
         assert profile["samples"] > 0
         shares = profile["span_shares"]
@@ -344,10 +339,10 @@ class TestPipelineIntegration:
             seed=5,
             refine=False,
             multilevel=MultilevelConfig(enabled=True, coarsen_to=12),
-            profile=ProfileConfig(enabled=True, hz=400.0),
         )
-        result = solve_multilevel(g, h, np.asarray(d), cfg)
-        profile = result.report().profile
+        with ProfileSession(ProfileConfig(hz=400.0)) as session:
+            solve_multilevel(g, h, np.asarray(d), cfg)
+        profile = session.profile
         assert profile is not None
         stages = profile["stages"]
         for name in ("coarsen", "coarse_solve", "uncoarsen"):
