@@ -105,7 +105,7 @@ def _experiment_body():
                  stats.merges, stats.bound_pruned, stats.table_peak_bytes]
             )
             tel = Telemetry("bench")
-            tel.add_seconds("dp", secs, 1)
+            tel.root.add("dp", secs)
             tel.record_member(
                 MemberRecord(
                     index=0,

@@ -23,6 +23,7 @@ so the CI smoke and this benchmark measure the same trace semantics.
 from __future__ import annotations
 
 import importlib.util
+import os
 import sys
 import time
 from pathlib import Path
@@ -128,6 +129,11 @@ def _experiment_body():
             solver=_solver(),
         )
     ).start()
+    # Served solves persist no run reports: the session-wide hook would
+    # write one per served solve from the dispatcher thread, file I/O
+    # competing with the solves the storm is sized against.  The cold
+    # references above keep theirs.
+    report_dir = os.environ.pop("REPRO_RUN_REPORT_DIR", None)
     try:
         client = PlacementClient(server.url, timeout=120.0)
 
@@ -182,6 +188,8 @@ def _experiment_body():
         stats = server.stats()
     finally:
         server.drain(timeout=60.0)
+        if report_dir is not None:
+            os.environ["REPRO_RUN_REPORT_DIR"] = report_dir
 
     p99 = summary["interactive_p99_s"]
     meta = {

@@ -198,7 +198,7 @@ def _canonical(sol):
 
 def _point(sweep, n, secs, cost, extra_meta=None):
     tel = Telemetry("bench")
-    tel.add_seconds("kernel", secs, 1)
+    tel.root.add("kernel", secs)
     return {
         "sweep": sweep,
         "n": n,
@@ -331,7 +331,7 @@ def _experiment_body():
          meta.get("e2e_dp_speedup")]
     )
     tel = Telemetry("bench")
-    tel.add_seconds("dp", py_s, 1)
+    tel.root.add("dp", py_s)
     tel.record_member(
         MemberRecord(
             index=0,

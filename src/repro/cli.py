@@ -390,12 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace = rsub.add_parser("trace", help="export a Chrome trace (Perfetto)")
     trace.add_argument("report", help="run-report JSON file (from solve --report)")
     trace.add_argument("--out", required=True, help="output trace JSON path")
-    trace.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-lane count (default: n_jobs from the report's config)",
-    )
 
     flame = rsub.add_parser(
         "flame",
@@ -680,11 +674,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(render_report(_load(args.report)))
         return 0
     if args.report_command == "trace":
-        if args.workers is not None and args.workers < 1:
-            raise InvalidInputError(f"--workers must be >= 1, got {args.workers}")
-        trace_path = write_trace(
-            _load(args.report), args.out, workers=args.workers
-        )
+        trace_path = write_trace(_load(args.report), args.out)
         print(f"chrome trace written to {trace_path} (load in ui.perfetto.dev)")
         return 0
     if args.report_command == "flame":

@@ -20,11 +20,14 @@ step:
     even when refinement is disabled, so every run report carries the
     full five-span skeleton).
 
-:func:`solve_member` times its own phases into the member's
-:class:`MemberRecord` (``dp_seconds`` / ``repair_seconds``) and returns
-a picklable :class:`MemberOutcome`.  The process-pool path ships those
-outcomes back from the workers, and :func:`fold_members` folds the
-record seconds into the parent's ``dp``/``repair`` spans — parallel runs
+:func:`solve_member` runs its two phases as the ``dp`` and ``repair``
+spans of the member's own :class:`Telemetry` and returns a picklable
+:class:`MemberOutcome`: the placement, the :class:`MemberRecord` (whose
+``dp_seconds`` / ``repair_seconds`` are read from those spans and whose
+``pid`` names the process that solved it) and the span tree.  The
+process-pool path ships outcomes back from the workers, and
+:func:`fold_members` merges each span tree into the run's and writes
+the member's ``member_solved`` log line from its record — parallel runs
 report the same non-empty breakdown as serial ones, and spans stay the
 one timing model.
 
@@ -64,8 +67,8 @@ from repro.core.telemetry import (
     MemberFailure,
     MemberRecord,
     RunReport,
+    Span,
     Telemetry,
-    mark_active,
 )
 from repro.obs.logging import NULL_LOGGER, StructuredLogger, new_run_id
 from repro.obs.metrics import (
@@ -174,8 +177,8 @@ class RunContext:
         Decomposition-tree ensemble (filled by the ``trees`` step).
     run_id:
         Correlation id stamped on every log record this run emits
-        (including records produced inside pool workers) and on the run
-        report's ``meta``; auto-generated when not supplied.
+        (``member_solved`` lines of pool members included) and on the
+        run report's ``meta``; auto-generated when not supplied.
     logger:
         Structured logger the run emits through (``NULL_LOGGER`` =
         silent; the CLI attaches sinks via ``--verbose``/``--log-json``).
@@ -213,7 +216,6 @@ class RunContext:
                     "demands": self.demands,
                     "config": self.config,
                     "grid": self.grid,
-                    "run_id": self.run_id,
                 }
             )
         return self._gen_ref
@@ -233,31 +235,20 @@ class MemberOutcome:
 
     Attributes
     ----------
-    index:
-        Member index within the run's telemetry (continues across
-        portfolio members / guided rounds sharing one collector).
     placement:
         The repaired placement for this member's tree.
-    dp_cost:
-        Tree-side DP cost (upper-bounds ``mapped_cost``, Proposition 1).
-    mapped_cost:
-        True Eq. (1) cost of ``placement``.
     record:
-        Telemetry member record: DP counters plus the ``dp`` / ``repair``
-        seconds measured where the member actually ran — in-process or
-        in a pool worker.
-    log_records:
-        Structured log records emitted where the member ran; pool
-        workers ship them back here and the parent replays them through
-        its logger, so correlation ids survive the process hop.
+        Telemetry member record: index, DP and mapped cost (the DP cost
+        upper-bounds the mapped one, Proposition 1), DP counters, the
+        phase seconds and the pid of the process that solved it.
+    spans:
+        Root of the member's own span tree: the ``dp`` and ``repair``
+        spans it was timed by, wherever it ran.
     """
 
-    index: int
     placement: Placement
-    dp_cost: float
-    mapped_cost: float
     record: MemberRecord
-    log_records: List[dict] = field(default_factory=list)
+    spans: Span
 
 
 # ----------------------------------------------------------------------
@@ -366,37 +357,34 @@ def solve_member(
     grid: DemandGrid,
     index: int = 0,
     stats: Optional[DPStats] = None,
-    run_id: Optional[str] = None,
     attempt: int = 1,
 ) -> MemberOutcome:
-    """Solve HGP on one decomposition tree: DP + repair, self-timed.
+    """Solve HGP on one decomposition tree: DP + repair, each in its span.
 
     This is the unit of work the engine fans out — in-process for
-    ``n_jobs == 1``, in pool workers otherwise.  The returned
-    :class:`MemberOutcome` is picklable; its record carries the phase
-    seconds and its log records are stamped with ``run_id`` and the
-    worker's pid, so the parent can fold worker timings into its spans
-    and replay worker logs under the run's correlation id.  ``attempt``
-    is which resilience-layer attempt this solve is (stamped into the
-    member record as ``attempts``); the solve itself is
+    ``n_jobs == 1``, in pool workers otherwise.  The two phases run as
+    the ``dp`` and ``repair`` spans of the member's own
+    :class:`Telemetry`, so the profiler attributes samples to them and
+    span observers see them wherever the member runs.  The returned
+    :class:`MemberOutcome` is picklable: its record carries the phase
+    seconds read from those spans and this process's pid, and its span
+    tree is what :func:`fold_members` merges into the run's.
+    ``attempt`` is which resilience-layer attempt this solve is (stamped
+    into the member record as ``attempts``); the solve itself is
     attempt-independent, so retried members produce bit-identical
     placements and costs.
     """
     own_stats = DPStats()
-    # mark_active gives the sampling profiler span attribution for these
-    # phases; the seconds travel home on the (picklable) record.
-    with mark_active("dp"):
-        t0 = time.perf_counter()
+    tel = Telemetry("member")
+    with tel.span("dp") as dp_span:
         solution, escalations = DPStage.run_member(
             tree, hierarchy, demands, config, grid, stats=own_stats
         )
-        t1 = time.perf_counter()
-    with mark_active("repair"):
+    with tel.span("repair") as repair_span:
         placement = RepairStage.run_member(
             tree, hierarchy, demands, solution, grid
         )
         mapped = placement.cost()
-        t2 = time.perf_counter()
     if stats is not None:
         stats.update(own_stats)
     record = MemberRecord(
@@ -404,8 +392,8 @@ def solve_member(
         method=getattr(tree, "method", None),
         dp_cost=float(solution.cost),
         mapped_cost=float(mapped),
-        dp_seconds=t1 - t0,
-        repair_seconds=t2 - t1,
+        dp_seconds=dp_span.seconds,
+        repair_seconds=repair_span.seconds,
         beam_escalations=escalations,
         attempts=attempt,
         dp_nodes=own_stats.nodes,
@@ -417,33 +405,9 @@ def solve_member(
         dp_table_peak_bytes=own_stats.table_peak_bytes,
         dp_memo_hits=own_stats.memo_hits,
         dp_memo_misses=own_stats.memo_misses,
+        pid=os.getpid(),
     )
-    log_records: List[dict] = []
-    if run_id is not None:
-        log_records.append(
-            {
-                "ts": time.time(),
-                "level": "debug",
-                "event": "member_solved",
-                "run_id": run_id,
-                "pid": os.getpid(),
-                "member": index,
-                "method": record.method,
-                "dp_cost": record.dp_cost,
-                "mapped_cost": record.mapped_cost,
-                "dp_seconds": record.dp_seconds,
-                "repair_seconds": record.repair_seconds,
-                "beam_escalations": escalations,
-            }
-        )
-    return MemberOutcome(
-        index=index,
-        placement=placement,
-        dp_cost=float(solution.cost),
-        mapped_cost=float(mapped),
-        record=record,
-        log_records=log_records,
-    )
+    return MemberOutcome(placement=placement, record=record, spans=tel.root)
 
 
 def publish_member_metrics(records: Sequence[MemberRecord]) -> None:
@@ -543,24 +507,29 @@ def fold_members(
     outcomes: Sequence[MemberOutcome],
     logger: StructuredLogger = NULL_LOGGER,
 ) -> None:
-    """Fold solved members into a run: records, logs, spans, metrics.
+    """Fold solved members into a run: records, spans, logs, metrics.
 
-    Appends each member's record, replays its log records (worker-side
-    for the pool path) through ``logger``, adds the members' self-measured
-    phase seconds to the current span's ``dp``/``repair`` children and
-    publishes their metrics.
+    Appends each member's record, merges its span tree (the ``dp`` and
+    ``repair`` spans it was timed by, wherever it ran) into the current
+    span, writes its ``member_solved`` line to ``logger`` from the
+    record, and publishes the members' metrics.
     """
-    records = [o.record for o in outcomes]
     for outcome in outcomes:
-        telemetry.record_member(outcome.record)
-        if logger.enabled:
-            for record in outcome.log_records:
-                logger.emit(record)
-    telemetry.add_seconds("dp", sum(r.dp_seconds for r in records), len(records))
-    telemetry.add_seconds(
-        "repair", sum(r.repair_seconds for r in records), len(records)
-    )
-    publish_member_metrics(records)
+        r = outcome.record
+        telemetry.record_member(r)
+        telemetry.current.merge(outcome.spans)
+        logger.debug(
+            "member_solved",
+            pid=r.pid,
+            member=r.index,
+            method=r.method,
+            dp_cost=r.dp_cost,
+            mapped_cost=r.mapped_cost,
+            dp_seconds=r.dp_seconds,
+            repair_seconds=r.repair_seconds,
+            beam_escalations=r.beam_escalations,
+        )
+    publish_member_metrics([o.record for o in outcomes])
 
 
 # ----------------------------------------------------------------------
@@ -770,7 +739,7 @@ def run_pipeline(
         tel.record_failure(failure)
 
     # Theorem 7's argmin: the first member with the lowest true cost.
-    placement = min(outcomes, key=lambda o: o.mapped_cost).placement
+    placement = min(outcomes, key=lambda o: o.record.mapped_cost).placement
 
     with tel.span("refine"):
         passes = config.refine_passes if config.refine else 0
@@ -805,8 +774,8 @@ def run_pipeline(
     )
     result = EngineResult(
         placement=placement,
-        tree_costs=[o.mapped_cost for o in outcomes],
-        dp_costs=[o.dp_cost for o in outcomes],
+        tree_costs=[o.record.mapped_cost for o in outcomes],
+        dp_costs=[o.record.dp_cost for o in outcomes],
         grid=ctx.grid,
         telemetry=tel,
         config=config,

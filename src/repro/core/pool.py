@@ -13,7 +13,7 @@ moves the shared state out of the job tuples:
   are identical regardless of how many workers actually serve the jobs).
 * :func:`publish_generation` pickles one *generation* — the dict of
   everything a run's member jobs share (trees, hierarchy, demands,
-  config, grid, run id) — to a spool file **once**.  Pickle's internal
+  config, grid) — to a spool file **once**.  Pickle's internal
   memoisation dedups the graph referenced by every tree, so the file is
   roughly the size of one instance, not ``n_trees`` of them.
 * Job tuples shrink to ``(ref, member, index, attempt)``; :func:`member_job`
@@ -353,6 +353,5 @@ def member_job(args: Tuple[GenerationRef, int, int, int]):
         payload["config"],
         payload["grid"],
         index=index,
-        run_id=payload["run_id"],
         attempt=attempt,
     )

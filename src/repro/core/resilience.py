@@ -279,7 +279,6 @@ def _serial_attempt(
                 ctx.config,
                 ctx.grid,
                 index=base + m,
-                run_id=ctx.run_id,
                 attempt=attempt,
             )
         except Exception as exc:

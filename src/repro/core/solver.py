@@ -72,7 +72,7 @@ def solve_hgpt(
         grid = make_grid(hierarchy, d, config)
     outcome = solve_member(tree, hierarchy, d, config, grid, stats=stats)
     publish_member_metrics([outcome.record])
-    return outcome.placement, outcome.dp_cost
+    return outcome.placement, outcome.record.dp_cost
 
 
 def solve_hgp(

@@ -15,12 +15,13 @@ kinds of data:
   state counters that :class:`repro.hgpt.dp.DPStats` used to hold.
 
 Spans are the one timing model.  Everything here is a plain picklable
-dataclass: process-pool workers return their member records (with their
-``dp``/``repair`` seconds) and the parent folds those seconds into its
-spans, so parallel runs report the same phase breakdown as serial ones.
-A whole run serialises to a JSON *run report* (:class:`RunReport`) that
-the CLI (``repro solve --report out.json``) and the benchmark harness
-persist; reports round-trip losslessly through JSON.
+dataclass: each ensemble member is timed by the spans of its own
+collector, wherever it ran, and the parent merges that span tree into
+its own (:meth:`Span.merge`), so parallel runs report the same phase
+breakdown as serial ones.  A whole run serialises to a JSON *run
+report* (:class:`RunReport`) that the CLI (``repro solve --report
+out.json``) and the benchmark harness persist; reports round-trip
+losslessly through JSON.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "Telemetry",
     "RunReport",
     "active_spans",
-    "mark_active",
     "add_span_observer",
     "remove_span_observer",
 ]
@@ -98,29 +98,6 @@ def active_spans() -> Dict[int, str]:
         if stack:
             out[ident] = stack[-1]
     return out
-
-
-@contextmanager
-def mark_active(name: str) -> Iterator[None]:
-    """Tag the calling thread as "inside ``name``" for the profiler only.
-
-    A zero-cost sibling of :meth:`Telemetry.span` for code that times
-    itself some other way (``solve_member`` writes its phase seconds to
-    a picklable :class:`MemberRecord`): no Span node is created and
-    nothing shows up in reports, but stack samples taken while the block
-    runs are attributed to ``name``.  Works identically in pool workers,
-    where no Telemetry instance exists at all.
-    """
-    ident = threading.get_ident()
-    _ACTIVE_SPANS.setdefault(ident, []).append(name)
-    try:
-        yield
-    finally:
-        stack = _ACTIVE_SPANS.get(ident)
-        if stack:
-            stack.pop()
-            if not stack:
-                _ACTIVE_SPANS.pop(ident, None)
 
 
 @dataclass
@@ -183,15 +160,25 @@ class Span:
         return sum(c.seconds for c in self.children)
 
     def add(self, name: str, seconds: float, count: int = 1) -> "Span":
-        """Accumulate externally measured time under child ``name``.
-
-        Used by the engine to fold per-worker phase timings (measured in
-        the worker process) into the parent's span tree.
-        """
+        """Accumulate externally measured time under child ``name``."""
         c = self.child(name)
         c.seconds += float(seconds)
         c.count += int(count)
         return c
+
+    def merge(self, other: "Span") -> None:
+        """Accumulate ``other``'s children into the same-named children.
+
+        Seconds, counts and counters add up by name, recursively; a name
+        this span has not seen yet is appended, so first-entry order is
+        kept.  The engine merges each ensemble member's span tree (timed
+        wherever the member ran) into the run's current span.
+        """
+        for theirs in other.children:
+            mine = self.add(theirs.name, theirs.seconds, theirs.count)
+            for key, value in theirs.counters.items():
+                mine.counters[key] = mine.counters.get(key, 0.0) + value
+            mine.merge(theirs)
 
     def to_dict(self) -> dict:
         """JSON-ready nested-dict view of this span subtree."""
@@ -224,7 +211,8 @@ class MemberRecord:
     escalations; ``beam_escalations`` counts how often the beam had to
     widen before the DP found a feasible state; ``attempts`` is which
     solve attempt produced this record (1 = first try, >1 = the member
-    was retried by the resilience layer).
+    was retried by the resilience layer); ``pid`` is the id of the
+    process that solved the member (0 in reports older than schema v4).
 
     The record is the only carrier of a member's DP facts across the
     process boundary: the process that receives it publishes the
@@ -249,6 +237,7 @@ class MemberRecord:
     dp_table_peak_bytes: int = 0
     dp_memo_hits: int = 0
     dp_memo_misses: int = 0
+    pid: int = 0
 
     def to_dict(self) -> dict:
         """JSON-ready flat-dict view of this record."""
@@ -353,10 +342,6 @@ class Telemetry:
         counters = self.current.counters
         counters[name] = counters.get(name, 0.0) + float(value)
 
-    def add_seconds(self, name: str, seconds: float, count: int = 1) -> None:
-        """Fold externally measured time in as a child of the current span."""
-        self.current.add(name, seconds, count)
-
     def record_member(self, member: MemberRecord) -> None:
         """Append one ensemble-member record."""
         self.members.append(member)
@@ -418,10 +403,10 @@ class RunReport:
     #: caller that profiled the solve).  ``None`` for unprofiled runs.
     profile: Optional[dict] = None
 
-    #: v2 added ``degraded`` + ``failures``; v3 added ``profile``
-    #: (absent in older reports, which still load — all default to
-    #: "nothing failed / not profiled").
-    SCHEMA_VERSION = 3
+    #: v2 added ``degraded`` + ``failures``; v3 added ``profile``; v4
+    #: added ``members[].pid`` (absent in older reports, which still
+    #: load — all default to "nothing failed / not profiled / pid 0").
+    SCHEMA_VERSION = 4
 
     def to_dict(self) -> dict:
         """JSON-ready dict view of the whole report (versioned schema)."""

@@ -167,7 +167,7 @@ def solve_hgp_iterated(
                     allow_swaps=True,
                 )
         result.tree_costs.append(placement.cost())
-        result.dp_costs.append(outcome.dp_cost)
+        result.dp_costs.append(outcome.record.dp_cost)
         if placement.cost() < result.cost:
             result.placement = placement.with_meta(
                 solver="hgp_iterated", config=cfg.describe()

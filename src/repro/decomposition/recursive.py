@@ -71,9 +71,3 @@ def build_recursive_tree(
 
     root = build(np.arange(g.n, dtype=np.int64))
     return asm.finish(root)
-
-
-def components_first(g: Graph, seed: SeedLike, split_fn: SplitFn) -> DecompositionTree:
-    """Convenience wrapper kept for API symmetry (skeleton already handles
-    disconnected graphs)."""
-    return build_recursive_tree(g, split_fn, seed=seed)

@@ -15,7 +15,7 @@ ample for the instance sizes the decomposition builders feed it.
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -27,31 +27,16 @@ from repro.obs.metrics import get_registry
 __all__ = ["DinicMaxFlow", "max_flow"]
 
 
-#: Hoisted metric handles: the Gomory–Hu builder runs ``n − 1`` solves,
-#: so the per-call registry find-or-create lookups were measurable hot-
-#: path overhead.  Lazily built (the registry may not exist at import)
-#: and keyed on ``(registry, generation)`` so a test-side ``reset()``
-#: invalidates the cache instead of leaving orphaned families.
-_METRIC_HANDLES: Optional[tuple] = None
-
-
-def _metric_handles() -> tuple:
-    global _METRIC_HANDLES
-    metrics = get_registry()
-    cached = _METRIC_HANDLES
-    if cached is not None and cached[0] is metrics and cached[1] == metrics.generation:
-        return cached[2]
-    handles = (
-        metrics.counter(
-            "repro_flow_maxflow_calls_total", "Completed Dinic max-flow solves"
-        ),
-        metrics.histogram(
-            "repro_flow_maxflow_seconds",
-            "Wall-clock seconds of one max-flow solve",
-        ),
-    )
-    _METRIC_HANDLES = (metrics, metrics.generation, handles)
-    return handles
+#: Bound once at import: the Gomory–Hu builder runs ``n − 1`` solves, so
+#: per-call registry find-or-create lookups were measurable hot-path
+#: overhead.  ``MetricsRegistry.reset`` clears series in place, so these
+#: handles stay live across it.
+_CALLS = get_registry().counter(
+    "repro_flow_maxflow_calls_total", "Completed Dinic max-flow solves"
+)
+_SECONDS = get_registry().histogram(
+    "repro_flow_maxflow_seconds", "Wall-clock seconds of one max-flow solve"
+)
 
 
 class DinicMaxFlow:
@@ -159,9 +144,8 @@ class DinicMaxFlow:
             total += kernels.dinic_blocking_flow(
                 heads, caps, arc_indptr, arc_ids, level, s, t
             )
-        calls, seconds = _metric_handles()
-        calls.inc()
-        seconds.observe(time.perf_counter() - t0)
+        _CALLS.inc()
+        _SECONDS.observe(time.perf_counter() - t0)
         return total
 
     def min_cut_side(self, s: int) -> np.ndarray:

@@ -6,9 +6,10 @@ Turns the engine's write-only telemetry into operator-facing artifacts:
   histograms with Prometheus text exposition; the engine, flow, cache
   and online hot paths publish here.
 * :mod:`repro.obs.logging` — JSON-lines structured logging with a
-  per-run correlation id that survives process-pool hops.
+  per-run correlation id; pool members are logged by the parent from
+  their records, so the id covers them too.
 * :mod:`repro.obs.trace` — run reports → Chrome trace-event JSON with
-  reconstructed per-worker lanes (view in Perfetto).
+  one member lane per process that solved members (view in Perfetto).
 * :mod:`repro.obs.report` — pretty rendering and regression-gating
   diffs behind the ``repro report`` CLI family.
 * :mod:`repro.obs.profile` — continuous sampling profiler with

@@ -8,9 +8,11 @@ unchanged.  Endpoints:
 
 ``GET /metrics``
     Prometheus text exposition (``text/plain; version=0.0.4``) of every
-    registered family, via the registry's existing ``render()``.  With
-    cross-process aggregation in the engine, the totals here include
-    worker-side increments.
+    registered family, via the registry's existing ``render()``.  The
+    registry is process-local: pool workers' own increments never reach
+    it, but the ``repro_dp_*`` and ``repro_incremental_subtree_*``
+    totals are published here from the member records the workers
+    return, so they cover pool members too.
 ``GET /healthz``
     Liveness: ``200 ok``.
 ``GET /debug/profile?seconds=N``

@@ -1,9 +1,10 @@
 """Structured JSON-lines logging with per-run correlation ids.
 
 Every engine run gets a :func:`new_run_id`; the id rides in
-:class:`repro.core.engine.RunContext`, is stamped on every log record
-the run emits, travels to process-pool workers with their job args and
-comes back attached to their records — so one ``grep run_id`` over a
+:class:`repro.core.engine.RunContext` and is stamped on every log record
+the run emits.  Only the parent process logs: a pool member's
+``member_solved`` line is written from the member record it returns
+(which names the worker's ``pid``), so one ``grep run_id`` over a
 JSON-lines log reconstructs a run end-to-end even across processes.
 
 Records are plain dicts (``ts``, ``level``, ``event``, ``run_id`` when
@@ -148,15 +149,6 @@ class StructuredLogger:
             record["run_id"] = self.run_id
         record.update(self.bound)
         record.update(fields)
-        self.emit(record)
-
-    def emit(self, record: Dict[str, object]) -> None:
-        """Forward an already-built record verbatim (worker replay path).
-
-        Records below ``min_level`` are dropped, as in :meth:`log`.
-        """
-        if LEVELS.index(str(record.get("level", "info"))) < self._threshold:
-            return
         for sink in self.sinks:
             sink(record)
 

@@ -339,9 +339,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
-        #: Bumped by :meth:`reset` so modules that hoist family handles
-        #: out of their hot paths can cheaply detect stale caches.
-        self.generation = 0
 
     def _register(self, cls, name: str, help: str, **kwargs) -> _Family:
         with self._lock:
@@ -398,10 +395,17 @@ class MetricsRegistry:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
-        """Drop every family (tests; never called by library code)."""
+        """Clear every family's series in place (tests only).
+
+        Families stay registered, so a handle a module bound at import
+        keeps counting into this registry after a reset.  Library code
+        never calls this.
+        """
         with self._lock:
-            self._families.clear()
-            self.generation += 1
+            families = list(self._families.values())
+        for family in families:
+            with family._lock:
+                family._children.clear()
 
     def snapshot(self) -> Dict[str, object]:
         """Picklable point-in-time dump of every family and series.

@@ -2,7 +2,7 @@
 
 A :class:`repro.core.telemetry.RunReport` stores a *span tree* (named
 wall-clock intervals with durations but no absolute start times) and
-per-ensemble-member timings.  This module lays both out on a synthetic
+per-ensemble-member records.  This module lays both out on a synthetic
 timeline and writes the Trace Event Format that ``chrome://tracing``
 and https://ui.perfetto.dev consume:
 
@@ -10,13 +10,15 @@ and https://ui.perfetto.dev consume:
   (``ph: "X"``).  Children are placed back-to-back from their parent's
   start, and a parent's duration is stretched to cover its children
   when accumulated child time exceeds the parent's own measurement
-  (pool runs fold *summed* worker seconds into the parent span, so
+  (pool runs merge *summed* worker seconds into the parent span, so
   child time can legitimately exceed wall time).
-* **Worker lanes** (tid 1..W): one lane per reconstructed pool worker.
-  Members are scheduled in index order onto the earliest-free lane
-  (the same greedy order ``ProcessPoolExecutor.map`` induces), each
-  contributing a ``dp`` then a ``repair`` complete event built from its
-  :class:`repro.core.telemetry.MemberRecord` seconds.
+* **Member lanes** (tid 1..P): one lane per distinct
+  :attr:`repro.core.telemetry.MemberRecord.pid`, named by that pid, in
+  first-seen order — each record says which process solved it, so a
+  serial run has one lane and a pool run one per worker that solved
+  something.  A lane's members run back-to-back in index order from the
+  start of the engine's ``dp`` span, each contributing a ``dp`` then a
+  ``repair`` complete event built from its record's seconds.
 
 Timestamps are microseconds from a synthetic origin; they are exact for
 durations and *plausible* for starts — the report does not record
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
 from repro.core.telemetry import RunReport, Span
 
@@ -69,14 +71,13 @@ def _span_events(
 
 
 def _member_events(
-    report: RunReport, dp_start: float, workers: int, events: List[dict]
+    report: RunReport, dp_start: float, lanes: Dict[int, int], events: List[dict]
 ) -> None:
-    """Schedule member dp/repair events onto ``workers`` reconstructed lanes."""
-    free_at = [dp_start] * max(1, workers)
-    for member in report.members:
-        lane = min(range(len(free_at)), key=lambda i: free_at[i])
-        t = free_at[lane]
-        tid = lane + 1
+    """Lay members out back-to-back on their pid's lane, in index order."""
+    free_at = dict.fromkeys(lanes.values(), dp_start)
+    for member in sorted(report.members, key=lambda m: m.index):
+        tid = lanes[member.pid]
+        t = free_at[tid]
         common = {
             "member": member.index,
             "method": member.method,
@@ -113,20 +114,11 @@ def _member_events(
                 "args": common,
             }
         )
-        free_at[lane] = t + member.repair_seconds * 1e6
+        free_at[tid] = t + member.repair_seconds * 1e6
 
 
-def report_to_trace(report: RunReport, workers: Optional[int] = None) -> dict:
+def report_to_trace(report: RunReport) -> dict:
     """Convert a run report to a Chrome trace-event JSON object.
-
-    Parameters
-    ----------
-    report:
-        The run report to lay out.
-    workers:
-        Worker-lane count for the member schedule.  ``None`` reads
-        ``n_jobs`` from the report's config (falling back to 1) — pass
-        the real pool size to reconstruct a parallel run's shape.
 
     Returns
     -------
@@ -134,11 +126,6 @@ def report_to_trace(report: RunReport, workers: Optional[int] = None) -> dict:
         ``{"traceEvents": [...], "displayTimeUnit": "ms", "otherData":
         {...}}``, JSON-serialisable and loadable by Perfetto.
     """
-    if workers is None:
-        workers = int((report.config or {}).get("n_jobs", 1) or 1)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
     events: List[dict] = [
         {
             "name": "process_name",
@@ -160,20 +147,23 @@ def report_to_trace(report: RunReport, workers: Optional[int] = None) -> dict:
 
     if report.members:
         # Members executed inside the engine's "dp"+"repair" window; start
-        # the worker lanes where the dp stage starts on the engine lane.
+        # the member lanes where the dp stage starts on the engine lane.
         dp = next((e for e in duration_events if e["name"] == "dp"), None)
         dp_start = float(dp["ts"]) if dp is not None else 0.0
-        for lane in range(workers):
+        lanes: Dict[int, int] = {}
+        for member in report.members:
+            lanes.setdefault(member.pid, len(lanes) + 1)
+        for pid, tid in lanes.items():
             events.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
                     "pid": _PID,
-                    "tid": lane + 1,
-                    "args": {"name": f"worker-{lane}"},
+                    "tid": tid,
+                    "args": {"name": f"pid {pid}"},
                 }
             )
-        _member_events(report, dp_start, workers, duration_events)
+        _member_events(report, dp_start, lanes, duration_events)
 
     # Emit duration events sorted by (tid, ts) so per-lane timestamps are
     # visibly monotone in the raw JSON as well as in the viewer.
@@ -190,12 +180,8 @@ def report_to_trace(report: RunReport, workers: Optional[int] = None) -> dict:
     }
 
 
-def write_trace(
-    report: RunReport,
-    path: Union[str, Path],
-    workers: Optional[int] = None,
-) -> Path:
+def write_trace(report: RunReport, path: Union[str, Path]) -> Path:
     """Write :func:`report_to_trace` output to ``path``; returns the path."""
     out = Path(path)
-    out.write_text(json.dumps(report_to_trace(report, workers=workers), indent=2) + "\n")
+    out.write_text(json.dumps(report_to_trace(report), indent=2) + "\n")
     return out

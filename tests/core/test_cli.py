@@ -383,7 +383,7 @@ class TestProfileFlags:
         for line in collapsed.read_text().splitlines():
             assert line.startswith("span:")
         data = json.loads(report.read_text())
-        assert data["schema_version"] == 3
+        assert data["schema_version"] == 4
         assert data["profile"]["hz"] == 300.0
 
     def test_profile_rejected_for_baselines(self, graph_file, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Tests for the staged engine: every solve path shares it and emits the
 same structured telemetry (stage spans + per-tree member records)."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -189,10 +191,19 @@ class TestSolveMember:
         grid = make_grid(hier, d, CFG)
         tree = build_tree(g, "spectral", seed=0)
         outcome = solve_member(tree, hier, d, CFG, grid, index=5)
-        assert outcome.index == 5
-        assert outcome.record.index == 5
-        assert outcome.mapped_cost == pytest.approx(outcome.placement.cost())
-        assert outcome.mapped_cost <= outcome.dp_cost + 1e-6
-        assert outcome.record.method == "spectral"
-        assert outcome.record.dp_seconds > 0.0
-        assert outcome.record.repair_seconds > 0.0
+        record = outcome.record
+        assert record.index == 5
+        assert record.mapped_cost == pytest.approx(outcome.placement.cost())
+        assert record.mapped_cost <= record.dp_cost + 1e-6
+        assert record.method == "spectral"
+        assert record.dp_seconds > 0.0
+        assert record.repair_seconds > 0.0
+        assert record.pid == os.getpid()
+        # The record's phase seconds are the member's own spans.
+        dp, repair = outcome.spans.children
+        assert (dp.name, dp.count, dp.seconds) == ("dp", 1, record.dp_seconds)
+        assert (repair.name, repair.count, repair.seconds) == (
+            "repair",
+            1,
+            record.repair_seconds,
+        )

@@ -1,5 +1,6 @@
 """Unit tests for the structured telemetry layer (spans, records, reports)."""
 
+import json
 import time
 
 import pytest
@@ -82,11 +83,51 @@ class TestSpans:
 
     def test_add_seconds_folds_external_time(self):
         tel = Telemetry("run")
-        tel.add_seconds("dp", 1.5, count=2)
-        tel.add_seconds("dp", 0.5, count=1)
+        tel.root.add("dp", 1.5, count=2)
+        tel.root.add("dp", 0.5, count=1)
         dp = tel.root.child("dp")
         assert dp.seconds == pytest.approx(2.0)
         assert dp.count == 3
+
+    def test_merge_accumulates_by_name(self):
+        """Seconds, counts and counters add up by name, recursively."""
+        run = Span("run")
+        run.add("trees", 1.0)
+        first = Span("member")
+        dp = first.add("dp", 0.5)
+        dp.counters["states"] = 3.0
+        dp.add("merge", 0.25)
+        first.add("repair", 0.125)
+        second = Span("member")
+        repair = second.add("repair", 0.25)  # entered before dp here
+        repair.counters["moves"] = 2.0
+        dp = second.add("dp", 1.0, count=2)
+        dp.counters["states"] = 4.0
+        dp.add("merge", 0.5)
+        dp.add("prune", 0.125)
+
+        run.merge(first)
+        run.merge(second)
+
+        # First-entry order: names new to ``run`` append in merge order.
+        assert [c.name for c in run.children] == ["trees", "dp", "repair"]
+        dp = run.child("dp")
+        assert dp.seconds == pytest.approx(1.5)
+        assert dp.count == 3
+        assert dp.counters == {"states": 7.0}
+        assert [c.name for c in dp.children] == ["merge", "prune"]
+        assert dp.child("merge").seconds == pytest.approx(0.75)
+        assert dp.child("merge").count == 2
+        assert dp.child("prune").count == 1
+        repair = run.child("repair")
+        assert repair.seconds == pytest.approx(0.375)
+        assert repair.count == 2
+        assert repair.counters == {"moves": 2.0}
+        # Only children merge: the receiving span's own totals and the
+        # merged trees are untouched.
+        assert run.seconds == 0.0 and run.count == 0
+        assert first.child("dp").seconds == pytest.approx(0.5)
+        assert first.child("dp").counters == {"states": 3.0}
 
     def test_find_spans_includes_root(self):
         tel = Telemetry("dp")
@@ -117,6 +158,7 @@ class TestSerialization:
             dp_states_total=100,
             dp_states_max=40,
             dp_merges=200,
+            pid=4321,
         )
         assert MemberRecord.from_dict(rec.to_dict()) == rec
 
@@ -124,7 +166,7 @@ class TestSerialization:
         tel = Telemetry("batch")
         with tel.span("trees"):
             tel.counter("n_trees", 4)
-        tel.add_seconds("dp", 0.75, count=4)
+        tel.root.add("dp", 0.75, count=4)
         tel.record_member(MemberRecord(index=0, method="frt", dp_cost=3.0))
         report = tel.report(config={"n_trees": 4}, cost=2.5, note="unit-test")
         again = RunReport.from_json(report.to_json())
@@ -202,10 +244,23 @@ class TestSpanObservers:
         assert tel.root.child("a").seconds >= 0.005
 
 
-class TestSchemaV3:
-    def test_version_is_3(self):
-        assert RunReport.SCHEMA_VERSION == 3
+class TestSchemaV4:
+    def test_version_is_4(self):
+        assert RunReport.SCHEMA_VERSION == 4
 
+    def test_pre_v4_members_load_with_pid_0(self):
+        """Reports written before ``members[].pid`` existed still load."""
+        tel = Telemetry("x")
+        tel.record_member(MemberRecord(index=0, method="frt", pid=99))
+        data = json.loads(tel.report().to_json())
+        data["schema_version"] = 3
+        del data["members"][0]["pid"]
+        (member,) = RunReport.from_json(json.dumps(data)).members
+        assert member.pid == 0
+        assert member.method == "frt"
+
+
+class TestSchemaV3:
     def test_profile_roundtrips(self):
         report = Telemetry("x").report(cost=1.0)
         report.profile = {"samples": 5, "span_shares": {"dp": 1.0}}

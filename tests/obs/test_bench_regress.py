@@ -34,8 +34,8 @@ def make_point(
     sweep="n", n=24, h=2, grid_cells=96, time_s=0.01, dp_cost=42.0, cost=None
 ):
     tel = Telemetry("bench")
-    tel.add_seconds("dp", time_s * 0.8)
-    tel.add_seconds("trees", time_s * 0.2)
+    tel.root.add("dp", time_s * 0.8)
+    tel.root.add("trees", time_s * 0.2)
     tel.record_member(
         MemberRecord(index=0, method="spectral", dp_cost=dp_cost)
     )

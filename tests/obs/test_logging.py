@@ -61,20 +61,6 @@ class TestStructuredLogger:
         assert not NULL_LOGGER.enabled
         NULL_LOGGER.info("goes nowhere")  # must not raise
 
-    def test_emit_replays_verbatim(self):
-        sink = ListSink()
-        logger = StructuredLogger([sink])
-        record = {"ts": 1.0, "level": "debug", "event": "e", "run_id": "w0rker"}
-        logger.emit(record)
-        assert sink.records == [record]
-
-    def test_emit_drops_records_below_min_level(self):
-        sink = ListSink()
-        logger = StructuredLogger([sink], min_level="info")
-        logger.emit({"ts": 1.0, "level": "debug", "event": "quiet"})
-        logger.emit({"ts": 1.0, "level": "warning", "event": "loud"})
-        assert [r["event"] for r in sink.records] == ["loud"]
-
 
 class TestSinks:
     def test_jsonl_sink_writes_parseable_lines(self, tmp_path):
@@ -100,6 +86,41 @@ class TestSinks:
         assert "cost=5" in out
 
 
+#: Every field of a ``member_solved`` line.
+MEMBER_SOLVED_FIELDS = {
+    "ts",
+    "level",
+    "event",
+    "run_id",
+    "pid",
+    "member",
+    "method",
+    "dp_cost",
+    "mapped_cost",
+    "dp_seconds",
+    "repair_seconds",
+    "beam_escalations",
+}
+
+
+def assert_member_lines_match_records(lines, result):
+    """Each ``member_solved`` line carries its member record's facts."""
+    records = result.telemetry.members
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        assert set(line) == MEMBER_SOLVED_FIELDS
+        assert line["level"] == "debug"
+        assert line["run_id"] == result.run_id
+        assert line["pid"] == rec.pid
+        assert line["member"] == rec.index
+        assert line["method"] == rec.method
+        assert line["dp_cost"] == rec.dp_cost
+        assert line["mapped_cost"] == rec.mapped_cost
+        assert line["dp_seconds"] == rec.dp_seconds
+        assert line["repair_seconds"] == rec.repair_seconds
+        assert line["beam_escalations"] == rec.beam_escalations
+
+
 class TestEnginePropagation:
     @pytest.fixture
     def instance(self, clustered_instance):
@@ -122,9 +143,13 @@ class TestEnginePropagation:
         assert events.count("member_solved") == 2
         assert {r["run_id"] for r in sink.records} == {result.run_id}
         assert result.report().meta["run_id"] == result.run_id
+        members = [r for r in sink.records if r["event"] == "member_solved"]
+        assert_member_lines_match_records(members, result)
+        assert all(r["pid"] == os.getpid() for r in members)
 
     def test_run_id_survives_pool_workers(self, instance):
-        """Worker-side records are replayed parent-side with the same run_id."""
+        """Pool members are logged parent-side, from their records, under
+        the run's id and with the pid of the worker that solved them."""
         g, hier, d = instance
         sink = ListSink()
         result = run_pipeline(
@@ -137,8 +162,9 @@ class TestEnginePropagation:
         members = [r for r in sink.records if r["event"] == "member_solved"]
         assert len(members) == 2
         assert {r["run_id"] for r in members} == {result.run_id}
-        # The records were produced in the worker processes.
+        # The members were solved in the worker processes.
         assert all(r["pid"] != os.getpid() for r in members)
+        assert_member_lines_match_records(members, result)
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_replayed_member_records_honour_min_level(self, instance, n_jobs):

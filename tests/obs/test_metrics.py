@@ -105,10 +105,21 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.gauge("x_total")
 
-    def test_reset_drops_families(self, registry):
-        registry.counter("x_total").inc()
+    def test_reset_keeps_bound_handles_live(self, registry):
+        counter = registry.counter("x_total")
+        hist = registry.histogram("x_seconds", buckets=(1.0,))
+        counter.inc(3)
+        hist.observe(0.5)
         registry.reset()
-        assert registry.get("x_total") is None
+        assert counter.value() == 0
+        assert hist.snapshot()["count"] == 0
+        counter.inc()
+        hist.observe(0.5)
+        # The handles bound before reset() still feed the registry.
+        assert registry.counter("x_total") is counter
+        assert registry.get("x_total").value() == 1
+        assert registry.get("x_seconds").snapshot()["count"] == 1
+        assert "x_total 1" in registry.render()
 
     def test_default_registry_is_a_singleton(self):
         assert get_registry() is get_registry()

@@ -17,11 +17,11 @@ from repro.obs.report import (
 
 def make_report(dp_seconds=0.05, cost=9.0, extra_stage=None):
     tel = Telemetry("batch")
-    tel.add_seconds("trees", 0.02)
-    tel.add_seconds("dp", dp_seconds, count=2)
-    tel.add_seconds("repair", 0.004)
+    tel.root.add("trees", 0.02)
+    tel.root.add("dp", dp_seconds, count=2)
+    tel.root.add("repair", 0.004)
     if extra_stage:
-        tel.add_seconds(extra_stage, 0.01)
+        tel.root.add(extra_stage, 0.01)
     tel.record_member(
         MemberRecord(index=0, method="spectral", dp_cost=10.0, mapped_cost=cost)
     )
@@ -126,20 +126,6 @@ class TestReportCli:
         x_events = [e for e in data["traceEvents"] if e["ph"] == "X"]
         assert x_events
         assert all("ts" in e and "dur" in e for e in x_events)
-
-    def test_trace_bad_workers(self, report_file, tmp_path, capsys):
-        rc = main(
-            [
-                "report",
-                "trace",
-                str(report_file),
-                "--out",
-                str(tmp_path / "t.json"),
-                "--workers",
-                "0",
-            ]
-        )
-        assert rc == 2
 
     def test_diff_self_passes_threshold(self, report_file, capsys):
         rc = main(

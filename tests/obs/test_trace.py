@@ -1,6 +1,7 @@
 """Tests for Chrome trace-event export (Perfetto compatibility)."""
 
 import json
+import os
 
 import pytest
 
@@ -14,10 +15,10 @@ def report():
     tel = Telemetry("batch")
     with tel.span("trees"):
         tel.counter("n_trees", 2)
-    tel.add_seconds("quantize", 0.001)
-    tel.add_seconds("dp", 0.05, count=2)
-    tel.add_seconds("repair", 0.004, count=2)
-    tel.add_seconds("refine", 0.01)
+    tel.root.add("quantize", 0.001)
+    tel.root.add("dp", 0.05, count=2)
+    tel.root.add("repair", 0.004, count=2)
+    tel.root.add("refine", 0.01)
     tel.record_member(
         MemberRecord(
             index=0,
@@ -27,6 +28,7 @@ def report():
             dp_seconds=0.03,
             repair_seconds=0.002,
             dp_states_max=40,
+            pid=4242,
         )
     )
     tel.record_member(
@@ -37,9 +39,26 @@ def report():
             mapped_cost=10.5,
             dp_seconds=0.02,
             repair_seconds=0.002,
+            pid=4343,
         )
     )
     return tel.report(config={"n_jobs": 2}, cost=9.0, run_id="feedc0ffee12")
+
+
+def member_lanes(trace):
+    """Member-lane tid -> (lane name, member events in timeline order)."""
+    names = {
+        e["tid"]: e["args"]["name"]
+        for e in trace["traceEvents"]
+        if e["ph"] == "M" and e["name"] == "thread_name" and e["tid"] > 0
+    }
+    return {
+        tid: (
+            name,
+            [e for e in trace["traceEvents"] if e["ph"] == "X" and e["tid"] == tid],
+        )
+        for tid, name in names.items()
+    }
 
 
 class TestTraceStructure:
@@ -71,8 +90,8 @@ class TestTraceStructure:
             (e["name"], e["tid"]): e["args"]["name"] for e in meta
         }
         assert names[("thread_name", 0)] == "engine"
-        assert names[("thread_name", 1)] == "worker-0"
-        assert names[("thread_name", 2)] == "worker-1"
+        assert names[("thread_name", 1)] == "pid 4242"
+        assert names[("thread_name", 2)] == "pid 4343"
         assert "batch" in names[("process_name", 0)]
 
     def test_timestamps_monotone_per_lane(self, report):
@@ -93,27 +112,36 @@ class TestTraceStructure:
 
 
 class TestWorkerLanes:
-    def test_lane_count_from_config(self, report):
-        trace = report_to_trace(report)  # config says n_jobs=2
-        tids = {e["tid"] for e in trace["traceEvents"] if e["ph"] == "X"}
-        assert tids == {0, 1, 2}
-
-    def test_workers_override(self, report):
-        trace = report_to_trace(report, workers=1)
-        tids = {e["tid"] for e in trace["traceEvents"] if e["ph"] == "X"}
-        assert tids == {0, 1}
-        # Serial lane: members run back-to-back, no overlap.
-        lane = [
-            e
-            for e in trace["traceEvents"]
-            if e["ph"] == "X" and e["tid"] == 1
+    def test_one_lane_per_pid(self):
+        """Lanes come from the records' pids, in first-seen order; a
+        lane's members run back-to-back in index order from the dp stage."""
+        tel = Telemetry("batch")
+        tel.root.add("trees", 0.5)
+        tel.root.add("dp", 0.09, count=3)
+        for index, pid in enumerate((7, 9, 7)):
+            tel.record_member(
+                MemberRecord(
+                    index=index, dp_seconds=0.01 * (index + 1),
+                    repair_seconds=0.001, pid=pid,
+                )
+            )
+        trace = report_to_trace(tel.report(config={"n_jobs": 1}))
+        lanes = member_lanes(trace)
+        assert {tid: name for tid, (name, _) in lanes.items()} == {
+            1: "pid 7",
+            2: "pid 9",
+        }
+        dp_start = 0.5e6  # the dp span follows trees on the engine lane
+        _, lane7 = lanes[1]
+        assert [e["name"] for e in lane7] == [
+            "dp[0]", "repair[0]", "dp[2]", "repair[2]",
         ]
-        for prev, nxt in zip(lane, lane[1:]):
-            assert nxt["ts"] >= prev["ts"] + prev["dur"] - 1e-9
-
-    def test_bad_workers_rejected(self, report):
-        with pytest.raises(ValueError):
-            report_to_trace(report, workers=0)
+        assert lane7[0]["ts"] == pytest.approx(dp_start)
+        for prev, nxt in zip(lane7, lane7[1:]):
+            assert nxt["ts"] == pytest.approx(prev["ts"] + prev["dur"])
+        _, lane9 = lanes[2]
+        assert [e["name"] for e in lane9] == ["dp[1]", "repair[1]"]
+        assert lane9[0]["ts"] == pytest.approx(dp_start)
 
     def test_member_args_carry_dp_stats(self, report):
         trace = report_to_trace(report)
@@ -202,7 +230,11 @@ class TestMultilevelTrace:
         worker_events = [
             e for e in trace["traceEvents"] if e["ph"] == "X" and e["tid"] > 0
         ]
-        assert {e["tid"] for e in worker_events} == {1, 2}
+        # Which of the two workers picks up each member is up to the pool:
+        # one lane per worker pid that solved something.
+        pids = {m.pid for m in ml_report.members}
+        assert os.getpid() not in pids
+        assert {e["tid"] for e in worker_events} == set(range(1, len(pids) + 1))
         assert {e["name"] for e in worker_events} >= {"dp[0]", "dp[1]"}
 
     def test_roundtrips_through_disk(self, ml_report, tmp_path):
@@ -217,7 +249,7 @@ class TestMultilevelTrace:
 class TestDegenerateReports:
     def test_memberless_report_has_engine_lane_only(self):
         tel = Telemetry("empty")
-        tel.add_seconds("dp", 0.01)
+        tel.root.add("dp", 0.01)
         trace = report_to_trace(tel.report())
         tids = {e["tid"] for e in trace["traceEvents"]}
         assert tids == {0}
@@ -239,3 +271,38 @@ class TestDegenerateReports:
         trace = report_to_trace(tel.report())
         dp = next(e for e in trace["traceEvents"] if e.get("name") == "dp")
         assert dp["dur"] == pytest.approx((0.04 + 0.03) * 1e6)
+
+
+class TestMemberPids:
+    """Each member record names the process that solved it, and the
+    trace draws one lane per such process."""
+
+    def test_serial_members_carry_own_pid(self, clustered_instance):
+        from repro.core.config import SolverConfig
+        from repro.core.engine import run_pipeline
+
+        g, h, d = clustered_instance
+        result = run_pipeline(g, h, d, SolverConfig(n_trees=2, refine=False, seed=0))
+        assert [m.pid for m in result.telemetry.members] == [os.getpid()] * 2
+        lanes = member_lanes(report_to_trace(result.report()))
+        assert [name for name, _ in lanes.values()] == [f"pid {os.getpid()}"]
+
+    def test_pool_members_carry_worker_pids(self, clustered_instance):
+        from repro.core.config import SolverConfig
+        from repro.core.engine import run_pipeline
+
+        g, h, d = clustered_instance
+        result = run_pipeline(
+            g, h, d, SolverConfig(n_trees=4, refine=False, seed=0, n_jobs=2)
+        )
+        pid_of = {m.index: m.pid for m in result.telemetry.members}
+        assert len(pid_of) == 4
+        assert os.getpid() not in pid_of.values()
+        lanes = member_lanes(report_to_trace(result.report()))
+        assert sorted(name for name, _ in lanes.values()) == sorted(
+            f"pid {pid}" for pid in set(pid_of.values())
+        )
+        for name, events in lanes.values():
+            assert events
+            for e in events:
+                assert name == f"pid {pid_of[e['args']['member']]}"
