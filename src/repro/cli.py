@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -769,20 +770,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     Exit codes: 0 success, 1 report-diff regression, 2 invalid input or
     solver failure (:class:`repro.errors.ReproError`), 3 degraded run —
     ensemble members were lost past their retry budget and the
-    resilience policy forbade completing on the survivors.
+    resilience policy forbade completing on the survivors, 141 (128 +
+    SIGPIPE) the reader closed standard output early, as
+    ``repro report show run.json | head`` does.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {
+        "generate": _cmd_generate,
+        "cache": _cmd_cache,
+        "report": _cmd_report,
+        "serve": _cmd_serve,
+    }
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "cache":
-            return _cmd_cache(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        return _cmd_solve(args)
+        code = commands.get(args.command, _cmd_solve)(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except DegradedRunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -347,31 +347,66 @@ def _encode_rows(sigs: np.ndarray) -> Optional[np.ndarray]:
     return keys
 
 
+#: Tie of a row above its signature's minimal cost: it never wins.
+_NO_TIE = np.iinfo(np.int64).max
+
+
 def _dedupe_min(
     sigs: np.ndarray, costs: np.ndarray, tie: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per unique signature keep the cheapest row.
 
     Returns (unique_sigs, min_costs, source_row_index) with the unique
-    rows in ascending lexicographic order, deterministic: ties resolve
-    to the smallest ``tie`` rank in (cost, tie) order (row position when
-    ``tie`` is ``None``, which the stable lexsort gives for free — the
-    tiled merge passes the global cross-product rank so compaction order
-    cannot change winners).  Rows are radix-encoded to scalar keys so
-    uniqueness is one int64 sort — ``np.unique(axis=0)``'s
-    structured-dtype argsort profiled ~10x slower on the DP's tables.
+    rows in ascending lexicographic order, deterministic: among a
+    signature's rows of minimal cost the one with the smallest ``tie``
+    wins (row position when ``tie`` is ``None`` — the tiled merge passes
+    the global cross-product rank so compaction order cannot change
+    winners).  Ties must be unique, as row positions and ranks
+    ``ii * nb + jj`` are; then exactly one row per signature has both
+    the minimal cost and the minimal tie among those, whatever order
+    the ties come in.
+
+    Rows are radix-encoded to scalar keys, so uniqueness is one int64
+    argsort — ``np.unique(axis=0)``'s structured-dtype argsort profiled
+    ~10x slower on the DP's tables — and each key group's minimal cost
+    and then minimal tie are two segment minima.  State costs are sums
+    of non-negative edge payments, so they may be ``inf``; they are NaN
+    only when two equal infinite multipliers make a level's delta
+    ``inf - inf``.  A NaN row loses to every number and ties with the
+    other NaN rows, as in a (key, cost, tie) lexsort, so the answer is
+    the lexsort's on every input.
     """
-    if sigs.shape[0] == 0:
+    n = sigs.shape[0]
+    if n == 0:
         return sigs, costs, np.empty(0, dtype=np.int64)
     keys = _encode_rows(sigs)
     uniq = None
     if keys is None:  # pragma: no cover - astronomically large capacities
         uniq, keys = np.unique(sigs, axis=0, return_inverse=True)
         keys = keys.ravel()
-    order = np.lexsort((costs, keys) if tie is None else (tie, costs, keys))
-    sorted_keys = keys[order]
-    first = np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]])
-    winners = order[first]
+    # Array methods, not numpy functions: most tables have a few dozen
+    # rows, where dispatch overhead outweighs the work.
+    order = keys.argsort()
+    keys = keys[order]
+    head = np.empty(n, dtype=bool)  # first row of each key group
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    group = head.cumsum()
+    group -= 1
+    # Row-sized temporaries go once used: a compaction holds up to
+    # 2 × tile_size rows, so the peak is what counts.
+    del keys, head
+    sorted_costs = costs[order]
+    group_min = np.fmin.reduceat(sorted_costs, starts)  # NaN loses to numbers
+    at_min = sorted_costs == group_min[group]
+    del sorted_costs
+    nan_group = np.isnan(group_min)
+    if nan_group.any():  # a group of NaN rows only: they all tie
+        at_min |= nan_group[group]
+    cand = np.where(at_min, order if tie is None else tie[order], _NO_TIE)
+    del at_min
+    winners = order[cand == np.minimum.reduceat(cand, starts)[group]]
     return (sigs[winners] if uniq is None else uniq), costs[winners], winners
 
 

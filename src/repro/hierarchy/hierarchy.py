@@ -28,7 +28,12 @@ import numpy as np
 
 from repro.errors import InvalidInputError
 
-__all__ = ["Hierarchy"]
+__all__ = ["Hierarchy", "LeafTable", "LEAF_TABLE_MAX_BYTES"]
+
+#: Largest leaf-by-leaf table :class:`LeafTable` builds: 16 bytes per
+#: leaf pair (a float64 cost and an int64 level), so k <= 1024.  Above
+#: it, rows come from :meth:`Hierarchy.lca_level` per lookup.
+LEAF_TABLE_MAX_BYTES = 16 << 20
 
 
 class Hierarchy:
@@ -241,3 +246,44 @@ class Hierarchy:
 
     def __hash__(self) -> int:
         return hash((self.degrees, self.cm, self.leaf_capacity))
+
+
+class LeafTable:
+    """Eq. (1) lookups between leaves, built once per local-search call.
+
+    ``ancestors[j][leaf]`` is ``hierarchy.ancestor(leaf, j)`` as python
+    ints, for ``j = 0 … h``.  :meth:`costs` and :meth:`levels` read rows
+    of a ``k × k`` table of ``cm(LCA)`` and LCA levels, built with one
+    :meth:`Hierarchy.lca_level` call.  Above
+    :data:`LEAF_TABLE_MAX_BYTES` no table is built and each lookup calls
+    :meth:`Hierarchy.lca_level` on just the leaves asked for.  Either
+    way the values equal ``cm[lca_level(leaf, leaves)]`` element for
+    element, so a ``np.dot`` over them sums the same floats in the same
+    order.  Nothing is cached on the hierarchy, which is pickled into
+    pool payloads.
+    """
+
+    __slots__ = ("ancestors", "_hier", "_cm", "_cost", "_lca")
+
+    def __init__(self, hierarchy: Hierarchy):
+        k = hierarchy.k
+        leaves = np.arange(k, dtype=np.int64)
+        self._hier = hierarchy
+        self._cm = np.asarray(hierarchy.cm)
+        self.ancestors = [hierarchy.ancestor(leaves, j).tolist() for j in range(hierarchy.h + 1)]
+        self._cost = self._lca = None
+        if 16 * k * k <= LEAF_TABLE_MAX_BYTES:
+            self._lca = hierarchy.lca_level(leaves[:, None], leaves[None, :])
+            self._cost = self._cm[self._lca]
+
+    def costs(self, leaf: int, leaves: np.ndarray) -> np.ndarray:
+        """``cm(LCA(leaf, l))`` for each ``l`` in ``leaves`` (contiguous float64)."""
+        if self._cost is None:
+            return self._cm[np.asarray(self._hier.lca_level(leaf, leaves))]
+        return self._cost[leaf, leaves]
+
+    def levels(self, leaf: int, leaves: np.ndarray | int) -> np.ndarray | int:
+        """``LCA(leaf, leaves)`` levels, as :meth:`Hierarchy.lca_level`."""
+        if self._lca is None:
+            return self._hier.lca_level(leaf, leaves)
+        return self._lca[leaf, leaves]

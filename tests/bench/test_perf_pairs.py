@@ -1,0 +1,166 @@
+"""Tests for the paired speed verdict tool (tools/perf_pairs.py)."""
+
+import importlib.util
+import json
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[2] / "tools"
+
+
+@pytest.fixture(scope="module")
+def perf_pairs():
+    spec = importlib.util.spec_from_file_location("perf_pairs", TOOLS / "perf_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestVerdict:
+    def test_nine_of_ten_wins_past_the_iqr_is_a_gain(self, perf_pairs):
+        base = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.02, 0.98, 1.01, 0.99]
+        change = [b - 0.3 for b in base[:9]] + [base[9] + 0.01]
+        v = perf_pairs.verdict(base, change, "lower", 0.25)
+        assert (v["wins"], v["losses"], v["pairs"]) == (9, 1, 10)
+        assert v["gain"] and not v["worse"]
+
+    def test_eight_wins_are_not_enough(self, perf_pairs):
+        base = [1.0] * 10
+        change = [0.5] * 8 + [1.5] * 2
+        v = perf_pairs.verdict(base, change, "lower", 0.25)
+        assert v["wins"] == 8 and not v["gain"]
+
+    def test_gap_must_exceed_the_base_iqr(self, perf_pairs):
+        # Every pair wins by 0.05, but the base's IQR is 0.2.
+        base = [0.8, 0.9, 1.0, 1.1, 1.2, 0.8, 0.9, 1.0, 1.1, 1.2]
+        change = [b - 0.05 for b in base]
+        v = perf_pairs.verdict(base, change, "lower", 0.25)
+        assert v["wins"] == 10
+        q1, _, q3 = perf_pairs.quartiles(base)
+        assert q3 - q1 == pytest.approx(0.2)
+        assert not v["gain"]
+
+    def test_ties_count_for_neither_side(self, perf_pairs):
+        v = perf_pairs.verdict([2.0] * 10, [2.0] * 10, "lower", 0.25)
+        assert (v["wins"], v["losses"]) == (0, 0)
+        assert not v["gain"] and not v["worse"]
+
+    def test_direction_comes_from_better(self, perf_pairs):
+        base = [1.0] * 10
+        change = [2.0] * 10
+        higher = perf_pairs.verdict(base, change, "higher", 0.25)
+        lower = perf_pairs.verdict(base, change, "lower", 0.25)
+        assert higher["wins"] == 10 and higher["gain"] and not higher["worse"]
+        assert lower["losses"] == 10 and not lower["gain"] and lower["worse"]
+
+    def test_worse_only_past_the_bound(self, perf_pairs):
+        base = [1.0] * 5
+        assert not perf_pairs.verdict(base, [1.2] * 5, "lower", 0.25)["worse"]
+        assert perf_pairs.verdict(base, [1.3] * 5, "lower", 0.25)["worse"]
+        assert perf_pairs.verdict(base, [0.7] * 5, "higher", 0.25)["worse"]
+        # A zero base median (no violation at all) flags any worsening.
+        assert perf_pairs.verdict([0.0] * 5, [0.1] * 5, "lower", 0.25)["worse"]
+
+    def test_parse_seeds(self, perf_pairs):
+        assert perf_pairs.parse_seeds("11-20") == list(range(11, 21))
+        assert perf_pairs.parse_seeds("3") == [3]
+        with pytest.raises(ValueError):
+            perf_pairs.parse_seeds("5-4")
+
+
+def fake_result(value, cost=10.0):
+    names = ["ops_per_s", "latency_p50_s", "eq1_cost", "cap_violation", "peak_rss_mib", "setup_s"]
+    metrics = {n: {"value": value, "unit": "x"} for n in names}
+    metrics["eq1_cost"]["value"] = cost
+    metrics["cap_violation"]["value"] = 1.0
+    return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
+
+
+@pytest.fixture
+def temp_repo(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    (repo / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    git("add", "BENCHMARK.json")
+    git("commit", "-q", "-m", "base")
+    return repo
+
+
+def worktrees(repo):
+    out = subprocess.run(
+        ["git", "worktree", "list", "--porcelain"], cwd=repo, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    return [line for line in out.splitlines() if line.startswith("worktree ")]
+
+
+class TestWorktree:
+    def test_removed_when_the_runner_raises(self, perf_pairs, temp_repo, tmp_path, monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        seen = []
+
+        def broken(root, workload, seed, seconds):
+            seen.append(Path(root))
+            assert (Path(root) / "BENCHMARK.json").is_file()
+            raise RuntimeError("perfbench crashed")
+
+        with pytest.raises(RuntimeError, match="crashed"):
+            perf_pairs.main(
+                ["--base", "HEAD", "--workload", "deep-churn", "--seeds", "1-2"],
+                runner=broken, root=temp_repo,
+            )
+        assert seen and seen[0] != temp_repo  # seed 1: the base worktree first
+        assert not seen[0].exists()
+        assert len(worktrees(temp_repo)) == 1
+        assert not list(tmp_path.glob("perf_pairs_*"))
+
+    def test_alternates_and_reports(self, perf_pairs, temp_repo, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        order = []
+
+        def runner(root, workload, seed, seconds):
+            side = "change" if Path(root) == temp_repo else "base"
+            order.append((seed, side))
+            return fake_result(1.0 if side == "base" else 0.5)
+
+        rc = perf_pairs.main(
+            ["--base", "HEAD", "--workload", "deep-churn", "--seeds", "1-4"],
+            runner=runner, root=temp_repo,
+        )
+        assert order == [
+            (1, "base"), (1, "change"), (2, "change"), (2, "base"),
+            (3, "base"), (3, "change"), (4, "change"), (4, "base"),
+        ]
+        out = capsys.readouterr().out
+        # Halving every value: lower-is-better metrics gain, ops_per_s is
+        # worse past its bound, so the run is flagged.
+        assert "latency_p50_s" in out and "gain" in out and "WORSE" in out
+        assert "eq1_cost equal on every seed: yes" in out
+        assert "base: 0/20 ops failed, every run correct" in out
+        assert rc == 1
+        assert len(worktrees(temp_repo)) == 1
+
+    def test_answer_drift_is_flagged(self, perf_pairs, temp_repo, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+
+        def runner(root, workload, seed, seconds):
+            drift = seed == 2 and Path(root) == temp_repo
+            return fake_result(1.0, cost=11.0 if drift else 10.0)
+
+        rc = perf_pairs.main(
+            ["--base", "HEAD", "--workload", "deep-churn", "--seeds", "1-3"],
+            runner=runner, root=temp_repo,
+        )
+        assert "eq1_cost equal on every seed: NO (seeds 2)" in capsys.readouterr().out
+        assert rc == 1

@@ -13,17 +13,23 @@ arrays, dtypes, shapes, ``n_ok`` and ``truncated``.
   (cost, signature) lexsort or an arbitrary permutation.
 * Tile inputs cover whole-row, mid-row, multi-row and empty tiles at
   h = 1–4, with and without a finite budget.
+* ``_dedupe_min`` must return what its (key, cost, tie) lexsort did on
+  tables with duplicate rows, tied, ``inf`` and NaN costs and an absent,
+  increasing or shuffled tie-break, at h = 1–5 and on empty tables.
 * ``_dominance_prune`` must scan and pick its beam guard exactly as the
   old lexsorts did on every table ``_dedupe_min`` can hand it.
 * Whole ``solve_rhgpt`` runs at h = 3 and h = 4 must not change when
-  both kernels are swapped for the references.
+  both kernels and ``_dedupe_min`` are swapped for the references.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hgpt.dp as dp
 import repro.kernels as kernels
 from repro.graph.generators import grid_2d
 from repro.decomposition.spectral_tree import spectral_decomposition_tree
@@ -182,31 +188,74 @@ def test_tile_merge_equals_reference(seed):
 
 
 # ----------------------------------------------------------------------
-# _dominance_prune's scan order and beam guard
+# _dedupe_min, and _dominance_prune's scan order and beam guard
 # ----------------------------------------------------------------------
 
 
 @st.composite
 def dedupe_inputs(draw):
-    """Raw merge rows with duplicate signatures, tied costs and an
-    optional tie-break permutation, as ``compact()`` hands them over."""
+    """Raw merge rows with duplicate signatures, tied and ``inf`` costs
+    and an absent, increasing (``_project`` positions, in-order ranks)
+    or shuffled (a tiled ``compact()``'s ``acc`` before newer tiles)
+    tie-break, as the DP hands them over."""
     h = draw(st.integers(min_value=1, max_value=5))
-    m = draw(st.integers(min_value=2, max_value=60))
+    m = draw(st.integers(min_value=0, max_value=60))
     row = st.lists(st.integers(0, 4), min_size=h, max_size=h)
     sigs = np.asarray(draw(st.lists(row, min_size=m, max_size=m)), dtype=np.int64)
+    sigs = sigs.reshape(m, h)
     costs = np.asarray(
         draw(
             st.one_of(
                 st.lists(st.integers(0, 4), min_size=m, max_size=m),
                 st.lists(st.floats(0, 20, allow_nan=False), min_size=m, max_size=m),
+                st.lists(st.sampled_from([0.0, 1.0, 2.0, math.inf]), min_size=m, max_size=m),
             )
         ),
         dtype=np.float64,
     )
-    tie = draw(st.one_of(st.none(), st.permutations(range(m))))
+    tie = draw(
+        st.one_of(
+            st.none(),
+            st.lists(st.integers(0, 10**6), min_size=m, max_size=m, unique=True).map(sorted),
+            st.permutations(range(m)),
+        )
+    )
     if tie is not None:
         tie = np.asarray(tie, dtype=np.int64)
     return sigs, costs, tie
+
+
+def assert_same_dedupe(sigs, costs, tie):
+    got = _dedupe_min(sigs, costs, tie=tie)
+    want = reference.dedupe_min(sigs, costs, tie=tie)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=g.dtype.kind == "f")
+
+
+@given(dedupe_inputs())
+@settings(max_examples=400, deadline=None)
+def test_dedupe_min_equals_reference(case):
+    assert_same_dedupe(*case)
+
+
+@given(dedupe_inputs(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_dedupe_min_nan_costs_equal_reference(case, seed):
+    """NaN costs reach the DP only from an infinite cost multiplier on
+    two levels (``inf - inf``); a NaN row sorts after every number and
+    ties with other NaN rows, as in the lexsort."""
+    sigs, costs, tie = case
+    rng = np.random.default_rng(seed)
+    costs = np.where(rng.random(costs.size) < rng.random(), math.nan, costs)
+    assert_same_dedupe(sigs, costs, tie)
+
+
+def test_dedupe_min_empty_table():
+    for h in (1, 2, 3, 4, 5):
+        sigs = np.empty((0, h), dtype=np.int64)
+        for tie in (None, np.empty(0, dtype=np.int64)):
+            assert_same_dedupe(sigs, np.empty(0), tie)
 
 
 @given(dedupe_inputs())
@@ -266,5 +315,6 @@ def test_solve_rhgpt_equals_reference_kernels(monkeypatch, caps, beam, cfg):
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "dp_tile_merge", reference.dp_tile_merge)
         patch.setattr(kernels, "dp_dominance_prune", reference.dp_dominance_prune)
+        patch.setattr(dp, "_dedupe_min", reference.dedupe_min)
         want = _canonical(solve_rhgpt(bt, caps, deltas, beam_width=beam, dp_config=cfg))
     assert got == want

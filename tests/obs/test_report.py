@@ -1,9 +1,14 @@
 """Tests for report rendering, diffing, and the ``repro report`` CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core.telemetry import MemberRecord, Telemetry
 from repro.obs.report import (
@@ -113,6 +118,34 @@ class TestReportCli:
         out = capsys.readouterr().out
         assert "run report" in out
         assert "winner" in out
+
+    @pytest.mark.parametrize("members", [1, 300], ids=["flush-at-exit", "write-in-print"])
+    def test_show_into_closed_pipe_exits_quietly(self, tmp_path, members):
+        """``repro report show run.json | head`` once ``head`` has gone:
+        exit 141 and nothing on stderr, whether the write fails inside
+        ``print`` (a long report) or at the final flush (a short one)."""
+        tel = Telemetry("batch")
+        tel.root.add("dp", 0.05)
+        for i in range(members):
+            tel.record_member(
+                MemberRecord(index=i, method="spectral", dp_cost=10.0, mapped_cost=9.0)
+            )
+        path = tmp_path / "run.json"
+        path.write_text(tel.report(cost=9.0, run_id="0123abcd4567").to_json() + "\n")
+        paths = (str(Path(repro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "report", "show", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert "BrokenPipeError" not in proc.stderr
+        assert proc.returncode == 141
 
     def test_show_missing_file(self, tmp_path, capsys):
         rc = main(["report", "show", str(tmp_path / "nope.json")])

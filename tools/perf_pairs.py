@@ -1,0 +1,221 @@
+#!/usr/bin/env python
+"""Paired speed verdicts: a base revision against the working tree.
+
+Checks ``--base`` out into a temporary ``git worktree`` and runs
+``perfbench/run.py --trace 0`` for each seed in ``--seeds``, once in the
+base and once in the working tree, alternating which goes first (the
+base on odd seeds), so drift of the machine's speed hits both sides
+alike.  Then, for every end-to-end metric of ``BENCHMARK.json``, it
+prints each side's median [q1, q3], the change's wins (ties count for
+neither side; the direction comes from the metric's ``better``) and:
+
+* ``gain`` — the change won at least 9 of every 10 pairs and the gap
+  between the medians exceeds the base's interquartile range;
+* ``WORSE`` — the change's median is worse than the base's by more
+  than the metric's ``bound``.
+
+It also says whether ``eq1_cost`` and ``cap_violation`` are equal on
+every seed and counts failed/attempted ops per side.  The worktree is
+removed when the tool ends, whatever happens; ``perfbench/`` and
+``BENCHMARK.json`` are read, never changed.
+
+Usage, from anywhere inside the checkout::
+
+    python3 tools/perf_pairs.py --base HEAD~1 --workload deep-churn --seeds 11-20
+
+Exit code 0 when every run was correct and no metric is ``WORSE``,
+1 otherwise, 2 on bad arguments.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import Callable, Dict, List, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: A pair counts for the change when it wins this share of the pairs.
+WIN_SHARE = 0.9
+
+#: Metrics that must be equal on both sides of every pair.
+ANSWER_METRICS = ("eq1_cost", "cap_violation")
+
+#: Runs one perfbench workload in a checkout: (root, workload, seed,
+#: seconds) -> the result object perfbench prints last.
+Runner = Callable[[Path, str, int, float], dict]
+
+
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py --trace 0`` run in ``root``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
+    cmd += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        return json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(
+            f"perfbench failed in {root} (seed {seed}, exit {proc.returncode}):\n"
+            + proc.stderr[-2000:]
+        ) from None
+
+
+def parse_seeds(text: str) -> List[int]:
+    lo, _, hi = text.partition("-")
+    first, last = int(lo), int(hi or lo)
+    if last < first:
+        raise ValueError(f"empty seed range {text!r}")
+    return list(range(first, last + 1))
+
+
+def quartiles(values: Sequence[float]) -> tuple:
+    """(q1, median, q3), linearly interpolated as numpy's percentile."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def verdict(base: Sequence[float], change: Sequence[float], better: str, bound: float) -> dict:
+    """The paired verdict on one metric (``base[i]`` and ``change[i]``
+    come from the same seed)."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
+    losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
+    bq1, bmed, bq3 = quartiles(base)
+    cq1, cmed, cq3 = quartiles(change)
+    gap = sign * (cmed - bmed)  # > 0: the change's median is better
+    return {
+        "base": (bmed, bq1, bq3),
+        "change": (cmed, cq1, cq3),
+        "wins": wins,
+        "losses": losses,
+        "pairs": len(base),
+        "gain": wins >= WIN_SHARE * len(base) and gap > bq3 - bq1,
+        "worse": -gap > bound * abs(bmed) if bmed else -gap > 0,
+    }
+
+
+def git(root: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=root, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def run_pairs(
+    root: Path, base_root: Path, workload: str, seeds: Sequence[int], seconds: float,
+    runner: Runner,
+) -> Dict[int, Dict[str, dict]]:
+    """Alternate the two sides over ``seeds``: the base first on odd seeds."""
+    results: Dict[int, Dict[str, dict]] = {}
+    for seed in seeds:
+        sides = [("base", base_root), ("change", root)]
+        if seed % 2 == 0:
+            sides.reverse()
+        results[seed] = {}
+        for name, where in sides:
+            print(f"seed {seed}: {name} ...", file=sys.stderr, flush=True)
+            results[seed][name] = runner(where, workload, seed, seconds)
+    return results
+
+
+def report(spec: dict, results: Dict[int, Dict[str, dict]]) -> Tuple[List[str], bool]:
+    """The verdict table, and whether any line of it is flagged."""
+    seeds = sorted(results)
+    lines = [
+        f"{'metric':15s} {'better':6s} {'base median [q1, q3]':30s} "
+        f"{'change median [q1, q3]':30s} {'change':>8s} {'wins':>6s}  verdict"
+    ]
+    bad = False
+    for m in spec["end_to_end"]:
+        name = m["name"]
+        base = [results[s]["base"]["metrics"][name]["value"] for s in seeds]
+        change = [results[s]["change"]["metrics"][name]["value"] for s in seeds]
+        v = verdict(base, change, m["better"], m["bound"])
+        bmed, cmed = v["base"][0], v["change"][0]
+        rel = f"{(cmed - bmed) / bmed:+.1%}" if bmed else "n/a"
+        flags = ["gain"] * v["gain"] + [f"WORSE (bound {m['bound']:.0%})"] * v["worse"]
+        bad |= v["worse"]
+        lines.append(
+            f"{name:15s} {m['better']:6s} {'%.4g [%.4g, %.4g]' % v['base']:30s} "
+            f"{'%.4g [%.4g, %.4g]' % v['change']:30s} {rel:>8s} "
+            f"{v['wins']:>3d}/{v['pairs']:<2d}  {' '.join(flags) or '-'}"
+        )
+    for name in ANSWER_METRICS:
+        differ = [
+            s for s in seeds
+            if results[s]["base"]["metrics"][name]["value"]
+            != results[s]["change"]["metrics"][name]["value"]
+        ]
+        bad |= bool(differ)
+        lines.append(
+            f"{name} equal on every seed: "
+            + ("yes" if not differ else f"NO (seeds {', '.join(map(str, differ))})")
+        )
+    for side in ("base", "change"):
+        failed = sum(results[s][side]["failed"] for s in seeds)
+        attempted = sum(results[s][side]["attempted"] for s in seeds)
+        incorrect = [s for s in seeds if not results[s][side]["correct"]]
+        bad |= bool(failed or incorrect)
+        lines.append(
+            f"{side}: {failed}/{attempted} ops failed"
+            + (f", incorrect on seeds {incorrect}" if incorrect else ", every run correct")
+        )
+    lines.append("verdict: " + ("CHECK the flagged lines" if bad else "nothing worse"))
+    return lines, bad
+
+
+def main(argv=None, runner: Runner = run_perfbench, root: Path = ROOT) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", required=True, help="inclusive range A-B, e.g. 11-20")
+    ap.add_argument("--seconds", type=float, default=16.0)
+    args = ap.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        ap.error(str(exc))
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    try:
+        rev = git(root, "rev-parse", "--verify", args.base + "^{commit}")
+    except subprocess.CalledProcessError:
+        ap.error(f"--base {args.base!r} is not a commit of {root}")
+    tmp = Path(tempfile.mkdtemp(prefix="perf_pairs_"))
+    base_root = tmp / "base"
+    try:
+        git(root, "worktree", "add", "--detach", str(base_root), rev)
+        results = run_pairs(root, base_root, args.workload, seeds, args.seconds, runner)
+    finally:
+        subprocess.run(
+            ["git", "worktree", "remove", "--force", str(base_root)],
+            cwd=root, capture_output=True,
+        )
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=root, capture_output=True)
+    print(
+        f"perf_pairs: {args.workload}, seeds {seeds[0]}-{seeds[-1]} ({len(seeds)} pairs, "
+        f"{args.seconds:g} s, --trace 0), base {rev[:12]} vs the working tree"
+    )
+    for seed in seeds:
+        cells = [
+            f"{m['name']} {results[seed]['base']['metrics'][m['name']]['value']:.4g}"
+            f"/{results[seed]['change']['metrics'][m['name']]['value']:.4g}"
+            for m in spec["end_to_end"]
+        ]
+        first = "base" if seed % 2 else "change"
+        print(f"  seed {seed} ({first} first), base/change: " + ", ".join(cells))
+    lines, bad = report(spec, results)
+    print("\n".join(lines))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
