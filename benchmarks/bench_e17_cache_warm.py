@@ -28,7 +28,6 @@ import numpy as np
 from repro import Hierarchy, SolverConfig, run_pipeline
 from repro.bench import Table, save_result, save_result_json
 from repro.cache import get_cache
-from repro.obs.exporter import maybe_start_from_env
 from repro.graph.generators import planted_partition, random_demands
 from repro.streaming.online import OnlinePlacer
 
@@ -57,17 +56,6 @@ def _config():
 
 
 def _experiment():
-    # Scrapeable while running: REPRO_METRICS_PORT=9091 exposes /metrics
-    # (with worker-merged totals) for the duration of the experiment.
-    exporter = maybe_start_from_env()
-    try:
-        return _experiment_body()
-    finally:
-        if exporter is not None:
-            exporter.stop()
-
-
-def _experiment_body():
     g, hier, d = _instance()
     cfg = _config()
     cache = get_cache()

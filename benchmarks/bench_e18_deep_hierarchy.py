@@ -32,7 +32,6 @@ from repro.graph.generators import planted_partition, random_demands
 from repro.hgpt.binarize import binarize
 from repro.hgpt.dp import DPConfig, DPStats, solve_rhgpt
 from repro.hgpt.quantize import DemandGrid
-from repro.obs.exporter import maybe_start_from_env
 
 SEED = 18
 
@@ -60,17 +59,6 @@ def _solve(bt, hier, grid, kernel):
 
 
 def _experiment():
-    # Scrapeable while running: REPRO_METRICS_PORT=9091 exposes /metrics
-    # for the duration of the sweep (see repro.obs.exporter).
-    exporter = maybe_start_from_env()
-    try:
-        return _experiment_body()
-    finally:
-        if exporter is not None:
-            exporter.stop()
-
-
-def _experiment_body():
     g = planted_partition(6, 6, 0.6, 0.05, seed=1)
     table = Table(
         ["h", "kernel", "time_s", "cost", "states_max", "merges",

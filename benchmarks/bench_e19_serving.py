@@ -37,7 +37,6 @@ from repro.core.config import SolverConfig
 from repro.core.resilience import ResilienceConfig, RetryPolicy
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
-from repro.obs.exporter import maybe_start_from_env
 from repro.serve import PlacementClient, PlacementServer, ServeConfig
 
 SEED = 19
@@ -85,15 +84,6 @@ def _decode(payload):
 
 
 def _experiment():
-    exporter = maybe_start_from_env()
-    try:
-        return _experiment_body()
-    finally:
-        if exporter is not None:
-            exporter.stop()
-
-
-def _experiment_body():
     payloads = loadgen.make_instances(N_INSTANCES, N_VERTS, SEED)
 
     # Cold single-shot references, solved before any server exists —

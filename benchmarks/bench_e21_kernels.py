@@ -46,7 +46,6 @@ from repro.hgpt.binarize import binarize
 from repro.hgpt.dp import DPStats, solve_rhgpt
 from repro.hgpt.quantize import DemandGrid
 from repro.kernels import KERNEL_NAMES, numba_backend, python_backend
-from repro.obs.exporter import maybe_start_from_env
 
 SEED = 21
 
@@ -212,15 +211,6 @@ def _point(sweep, n, secs, cost, extra_meta=None):
 
 
 def _experiment():
-    exporter = maybe_start_from_env()
-    try:
-        return _experiment_body()
-    finally:
-        if exporter is not None:
-            exporter.stop()
-
-
-def _experiment_body():
     backends = {"python": python_backend}
     if HAVE_NUMBA:
         backends["numba"] = numba_backend

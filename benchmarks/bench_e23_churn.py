@@ -41,7 +41,6 @@ from repro import Hierarchy, SolverConfig, run_pipeline
 from repro.bench import Table, save_result, save_result_json
 from repro.cache import reset_cache
 from repro.core.config import IncrementalConfig
-from repro.obs.exporter import maybe_start_from_env
 from repro.graph.generators import planted_partition, random_demands
 
 SEED = 23
@@ -111,15 +110,6 @@ def _run_leg(graphs, hier, d, incremental: bool):
 
 
 def _experiment():
-    exporter = maybe_start_from_env()
-    try:
-        return _experiment_body()
-    finally:
-        if exporter is not None:
-            exporter.stop()
-
-
-def _experiment_body():
     g, hier, d = _instance()
     base = g
     graphs = _churn_graphs(base)

@@ -246,14 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also record per-stage tracemalloc allocation deltas "
         "(with --profile; adds overhead)",
     )
-    solve.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve /metrics, /healthz and /debug/profile on this port "
-        "for the duration of the solve (0 = OS-assigned)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -435,23 +427,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    exporter = None
-    if args.metrics_port is not None:
-        from repro.obs.exporter import start_exporter
-
-        exporter = start_exporter(port=args.metrics_port)
-        print(
-            f"metrics exporter listening on {exporter.url}/metrics",
-            file=sys.stderr,
-        )
-    try:
-        return _run_solve(args)
-    finally:
-        if exporter is not None:
-            exporter.stop()
-
-
-def _run_solve(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
     hier = Hierarchy(args.degrees, args.cm, leaf_capacity=args.leaf_capacity)
     if args.demands is not None:
@@ -768,10 +743,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code.
 
     Exit codes: 0 success, 1 report-diff regression, 2 invalid input or
-    solver failure (:class:`repro.errors.ReproError`), 3 degraded run —
-    ensemble members were lost past their retry budget and the
-    resilience policy forbade completing on the survivors, 141 (128 +
-    SIGPIPE) the reader closed standard output early, as
+    solver failure (:class:`repro.errors.ReproError`) and unreadable or
+    unwritable paths (:class:`OSError`: an ``--out``/``--report``
+    directory that does not exist, a port ``repro serve`` cannot bind),
+    3 degraded run — ensemble members were lost past their retry budget
+    and the resilience policy forbade completing on the survivors, 141
+    (128 + SIGPIPE) the reader closed standard output early, as
     ``repro report show run.json | head`` does.
     """
     parser = build_parser()
@@ -795,7 +772,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DegradedRunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -191,13 +191,13 @@ def restart_pool() -> None:
 
 
 #: Named callbacks run *before* the pool/spool teardown, newest first.
-#: Long-lived front-ends that dispatch onto the pool — the metrics
-#: exporter's HTTP threads, the ``repro.serve`` loop — register here so
-#: interpreter exit tears the stack down in dependency order: stop
-#: accepting/scraping, drain in-flight solves, *then* shut the pool and
-#: sweep the spool files.  Without this ordering a serve dispatcher can
-#: submit to an executor whose atexit shutdown already ran, or a worker
-#: can be mid-read on a generation payload the sweep just unlinked.
+#: Long-lived front-ends that dispatch onto the pool — the
+#: ``repro.serve`` loop — register here so interpreter exit tears the
+#: stack down in dependency order: stop accepting requests, drain
+#: in-flight solves, *then* shut the pool and sweep the spool files.
+#: Without this ordering a serve dispatcher can submit to an executor
+#: whose atexit shutdown already ran, or a worker can be mid-read on a
+#: generation payload the sweep just unlinked.
 _SHUTDOWN_HOOKS: "OrderedDict[str, Any]" = OrderedDict()
 
 
@@ -222,11 +222,11 @@ def unregister_shutdown_hook(name: str) -> None:
 def _cleanup_at_exit() -> None:
     """Interpreter-exit sweep, in dependency order.
 
-    Registered shutdown hooks (exporter threads, the serve loop) run
-    first — they are the layers that still *submit* to the pool.  Then
-    the pool goes down *before* the spool files: a worker mid-read on
-    a generation payload while the parent unlinks it would either crash
-    the worker or leave the unlink racing the worker's LRU cleanup.
+    Registered shutdown hooks (the serve loop) run first — they are
+    the layers that still *submit* to the pool.  Then the pool goes
+    down *before* the spool files: a worker mid-read on a generation
+    payload while the parent unlinks it would either crash the worker
+    or leave the unlink racing the worker's LRU cleanup.
     Interrupted runs (KeyboardInterrupt mid-fan-out) can leave published
     generations behind; whatever is still registered is released here,
     tolerating files that were already removed.

@@ -22,6 +22,7 @@ of leaf ids (the hot path of Eq. (1) evaluation).
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -45,11 +46,12 @@ class Hierarchy:
         ``[DEG(0), …, DEG(h−1)]`` — children per node at each level; the
         height is ``h = len(degrees)``.
     cost_multipliers:
-        ``[cm(0), …, cm(h)]`` — ``h + 1`` non-increasing, non-negative
-        values.  ``cm(h)`` is the cost of co-located endpoints (usually
-        0; Lemma 1 reduces the general case to ``cm(h) = 0``).
+        ``[cm(0), …, cm(h)]`` — ``h + 1`` non-increasing, non-negative,
+        finite values.  ``cm(h)`` is the cost of co-located endpoints
+        (usually 0; Lemma 1 reduces the general case to ``cm(h) = 0``).
     leaf_capacity:
-        Capacity of every leaf (paper normalises to 1).
+        Capacity of every leaf, finite and positive (paper normalises
+        to 1).
 
     Examples
     --------
@@ -78,14 +80,18 @@ class Hierarchy:
             raise InvalidInputError(
                 f"need h+1 = {len(degrees) + 1} cost multipliers, got {len(cm)}"
             )
+        if not all(math.isfinite(c) for c in cm):
+            raise InvalidInputError(f"cost multipliers must be finite, got {cm}")
         if any(c < 0 for c in cm):
             raise InvalidInputError(f"cost multipliers must be >= 0, got {cm}")
         if any(cm[i] < cm[i + 1] for i in range(len(cm) - 1)):
             raise InvalidInputError(
                 f"cost multipliers must be non-increasing, got {cm}"
             )
-        if leaf_capacity <= 0:
-            raise InvalidInputError(f"leaf capacity must be > 0, got {leaf_capacity}")
+        if not 0 < leaf_capacity < math.inf:
+            raise InvalidInputError(
+                f"leaf capacity must be finite and > 0, got {leaf_capacity}"
+            )
         self.degrees: Tuple[int, ...] = tuple(degrees)
         self.cm: Tuple[float, ...] = tuple(cm)
         self.leaf_capacity = float(leaf_capacity)

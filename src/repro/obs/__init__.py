@@ -15,13 +15,10 @@ Turns the engine's write-only telemetry into operator-facing artifacts:
 * :mod:`repro.obs.profile` — continuous sampling profiler with
   telemetry-span attribution, collapsed-stack output, and per-stage
   RSS/CPU/tracemalloc deltas (``repro solve --profile``).
-* :mod:`repro.obs.exporter` — embedded ``/metrics`` + ``/healthz`` +
-  ``/debug/profile`` HTTP endpoint (``repro solve --metrics-port``).
 
 See ``docs/observability.md`` for the metrics catalog and workflows.
 """
 
-from repro.obs.exporter import MetricsExporter, maybe_start_from_env, start_exporter
 from repro.obs.logging import (
     ListSink,
     NULL_LOGGER,
@@ -62,9 +59,6 @@ __all__ = [
     "ProfileSession",
     "SamplingProfiler",
     "StageResourceMonitor",
-    "MetricsExporter",
-    "start_exporter",
-    "maybe_start_from_env",
     "StructuredLogger",
     "ListSink",
     "NULL_LOGGER",

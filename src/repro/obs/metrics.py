@@ -327,6 +327,11 @@ class Histogram(_Family):
         return lines
 
 
+#: Content type of :meth:`MetricsRegistry.render` output (Prometheus
+#: text exposition), as ``repro serve`` sends it on ``GET /metrics``.
+CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+
 class MetricsRegistry:
     """Named collection of metric families with text exposition.
 

@@ -19,8 +19,7 @@ Three public pieces:
 * :class:`ProfileConfig` — the knobs, steered by
   ``repro solve --profile/--profile-hz/--profile-mem``.
 * :class:`SamplingProfiler` — start/stop flight recorder with
-  collapsed-stack (flamegraph-compatible) and JSON summaries.  Also
-  used ad hoc by the ``/debug/profile?seconds=N`` exporter endpoint.
+  collapsed-stack (flamegraph-compatible) and JSON summaries.
 * :class:`StageResourceMonitor` — a process-wide telemetry span
   observer recording per-stage RSS / CPU-time deltas and (opt-in)
   ``tracemalloc`` allocation deltas.
@@ -135,7 +134,6 @@ _IDLE_WAITS = frozenset(
         ("multiprocessing.connection", "wait"),
         ("multiprocessing.connection", "poll"),
         ("multiprocessing.connection", "_poll"),
-        ("socketserver", "serve_forever"),
     }
 )
 
@@ -162,11 +160,12 @@ class SamplingProfiler:
     tallies ``(span, stack)`` pairs, where ``span`` is the innermost
     open telemetry span of the sampled thread (``-`` when it is not
     inside one).  Unattributed threads parked in an idle wait (executor
-    manager/feeder threads of a warm process pool, mostly) are skipped
-    so they cannot drown the solve in permanent ``-`` samples; a thread
-    inside a span is always tallied, blocked or not, matching wall-clock
-    span accounting.  Start/stop are idempotent; the sampler thread is a
-    daemon, so a crashed run never hangs on it.
+    manager/feeder threads of a warm process pool, an idle ``repro
+    serve`` loop or dispatcher) are skipped so they cannot drown the
+    solve in permanent ``-`` samples; a thread inside a span is always
+    tallied, blocked or not, matching wall-clock span accounting.
+    Start/stop are idempotent; the sampler thread is a daemon, so a
+    crashed run never hangs on it.
     """
 
     def __init__(self, hz: float = 97.0):
@@ -241,17 +240,9 @@ class SamplingProfiler:
     def _sample_once(self, sampler_ident: int, force: bool = False) -> None:
         frames = sys._current_frames()
         spans = active_spans()
-        # Our own observability threads (this sampler, exporter accept
-        # loops) would otherwise dominate idle profiles with
-        # selector-wait stacks; skip anything named "repro-…".
-        infra = {
-            t.ident
-            for t in threading.enumerate()
-            if t.name.startswith("repro-") and t.ident is not None
-        }
         tallies: List[Tuple[Tuple[str, Tuple[str, ...]], int]] = []
         for ident, frame in frames.items():
-            if ident == sampler_ident or ident in infra:
+            if ident == sampler_ident:
                 continue
             span = spans.get(ident)
             if span is None and _is_idle_wait(frame) and not force:

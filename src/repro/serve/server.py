@@ -16,6 +16,9 @@ Architecture (one process, three kinds of thread):
   — which fans out onto the persistent worker pool exactly like the
   CLI — and resolves the in-flight entry, fanning the serialized
   response to the leader and every coalesced follower byte-identically.
+  A :class:`~repro.obs.profile.ProfileSession` around an in-process
+  server samples this thread like any other, so its solves show up
+  under their stage spans (``docs/serving.md`` §7).
 * **Pool workers** — unchanged; crashes/hangs are absorbed by the
   resilience layer (retries, pool restarts) underneath the dispatcher.
 
@@ -23,8 +26,8 @@ Overload behaviour: a full lane sheds with ``503`` + ``Retry-After``;
 an expired SLO returns ``504`` (with the degraded report's partial
 result when ``allow_partial`` admits one); duplicate concurrent
 requests coalesce onto one solve.  ``GET /metrics`` and ``/healthz``
-are served from the same port, so the scrape surface needs no separate
-exporter.  Graceful drain (SIGTERM or :meth:`PlacementServer.drain`)
+are served from the same port; this is the process's only HTTP
+surface.  Graceful drain (SIGTERM or :meth:`PlacementServer.drain`)
 stops admitting, finishes queued + in-flight work, then closes the
 loop — and is registered as a pool shutdown hook so interpreter exit
 tears the stack down in dependency order (serve loop, then pool, then
@@ -43,8 +46,7 @@ from repro.cache import InflightRegistry, get_cache
 from repro.core.config import SolverConfig
 from repro.core.engine import run_pipeline
 from repro.errors import DegradedRunError, InfeasibleError, InvalidInputError
-from repro.obs.exporter import CONTENT_TYPE as METRICS_CONTENT_TYPE
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE, get_registry
 from repro.serve import protocol
 from repro.serve.admission import LANES, AdmissionQueue
 from repro.testing.faults import maybe_inject
@@ -283,8 +285,10 @@ class PlacementServer:
                     self._handle_conn, self.config.host, self.config.port
                 )
                 self.host, self.port = self._server.sockets[0].getsockname()[:2]
-            except BaseException as exc:  # pragma: no cover - bind failure
+            except BaseException as exc:
+                # Bind failure: end this thread too; start() re-raises.
                 self._loop_error = exc
+                loop.stop()
             finally:
                 started.set()
 

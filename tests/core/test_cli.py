@@ -140,6 +140,40 @@ class TestSolve:
         )
         assert rc == 2
 
+    def test_non_finite_cost_multiplier_exits_2(self, graph_file, capsys):
+        path, _g = graph_file
+        rc = main(
+            ["solve", "--graph", str(path), "--degrees", "2,2", "--cm", "inf,inf,0"]
+        )
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--report"])
+    def test_unwritable_output_path_exits_2(self, graph_file, tmp_path, capsys, flag):
+        path, _g = graph_file
+        dest = tmp_path / "missing" / "run.json"
+        rc = main(
+            [
+                "solve", "--graph", str(path), "--degrees", "2,2",
+                "--cm", "5,1,0", "--n-trees", "2", "--quiet", flag, str(dest),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(dest) in err
+        assert "Traceback" not in err
+
+    def test_serve_bind_failure_exits_2(self, capsys):
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            rc = main(["serve", "--port", str(port), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_method(self, graph_file, capsys):
         path, _g = graph_file
         rc = main(
@@ -459,28 +493,3 @@ class TestProfileFlags:
         assert "latency (dp+repair): p50" in out
         assert "profile:" in out
         assert "span shares:" in out
-
-
-class TestMetricsPortFlag:
-    def test_exporter_announced_and_scrapeable_port_freed(
-        self, graph_file, tmp_path, capsys
-    ):
-        import socket
-
-        path, _g = graph_file
-        rc = main(
-            [
-                "solve", "--graph", str(path),
-                "--degrees", "2,2", "--cm", "5,1,0",
-                "--n-trees", "2", "--quiet",
-                "--metrics-port", "0",
-            ]
-        )
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "metrics exporter listening on http://127.0.0.1:" in err
-        # The exporter must be torn down with the solve: its port is free.
-        url = [w for w in err.split() if w.startswith("http://")][0]
-        port = int(url.rsplit(":", 1)[1].split("/")[0])
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", port))

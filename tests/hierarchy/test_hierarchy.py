@@ -46,6 +46,24 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             Hierarchy([2], [1.0, 0.0], leaf_capacity=0.0)
 
+    @pytest.mark.parametrize(
+        "cm",
+        [
+            [np.inf, np.inf, 0.0],
+            [np.inf, 1.0, 0.0],
+            [np.nan, 1.0, 0.0],
+            [2.0, np.nan, 0.0],
+        ],
+    )
+    def test_non_finite_multiplier_rejected(self, cm):
+        with pytest.raises(InvalidInputError, match="finite"):
+            Hierarchy([2, 2], cm)
+
+    @pytest.mark.parametrize("capacity", [np.nan, np.inf, -np.inf])
+    def test_non_finite_capacity_rejected(self, capacity):
+        with pytest.raises(InvalidInputError, match="finite"):
+            Hierarchy([2, 2], [2.0, 1.0, 0.0], leaf_capacity=capacity)
+
 
 class TestStructure:
     def test_children_and_parent_inverse(self, hier_deep):

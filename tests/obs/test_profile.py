@@ -198,8 +198,9 @@ class TestSamplingProfiler:
             SamplingProfiler(hz=0.0)
 
     def test_infra_threads_skipped(self):
-        """Threads named repro-* (exporter, the sampler itself) must not
-        pollute the profile with their idle wait stacks."""
+        """An unattributed thread parked in an idle wait (here
+        ``Event.wait``) must not pollute the profile with its wait
+        stack; the skip goes by the wait, not the thread's name."""
         stop = threading.Event()
         infra = threading.Thread(
             target=stop.wait, name="repro-fake-infra", daemon=True

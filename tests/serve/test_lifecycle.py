@@ -85,18 +85,6 @@ def test_unregister_is_idempotent():
     worker_pool.unregister_shutdown_hook("gone")  # second time: no-op
 
 
-def test_exporter_registers_and_unregisters_hook():
-    from repro.obs.exporter import MetricsExporter
-
-    exporter = MetricsExporter(port=0)
-    hook_names = list(worker_pool._SHUTDOWN_HOOKS)
-    assert any(name.startswith("exporter:") for name in hook_names)
-    exporter.stop()
-    assert not any(
-        name.startswith("exporter:") for name in worker_pool._SHUTDOWN_HOOKS
-    )
-
-
 def test_server_registers_and_unregisters_hook(tmp_path):
     from .conftest import start_server
 
