@@ -33,7 +33,6 @@ of ~320 per-node tables served from the memo per warm step.
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 
 import numpy as np
 

@@ -16,8 +16,6 @@ compress the spread (no good cuts exist).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import SolverConfig
 from repro.bench import METHODS, Table, make_instance, run_method, save_result, standard_hierarchy
 

@@ -13,8 +13,6 @@ higher λ* than round-robin/random — the paper's original observation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.bench import Table, save_result, standard_hierarchy
 from repro.streaming import CommCostModel, place_dag, random_workload
 

@@ -12,8 +12,6 @@ Run:  python examples/datacenter_scheduling.py
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import Hierarchy, SolverConfig, solve_hgp
 from repro.baselines import placement_baselines
 from repro.bench import Table

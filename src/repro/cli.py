@@ -240,12 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HZ",
         help="profiler sampling rate (with --profile; default 97)",
     )
-    solve.add_argument(
-        "--profile-mem",
-        action="store_true",
-        help="also record per-stage tracemalloc allocation deltas "
-        "(with --profile; adds overhead)",
-    )
 
     serve = sub.add_parser(
         "serve",
@@ -491,9 +485,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             from repro.obs.profile import ProfileConfig, ProfileSession
 
             session = ProfileSession(
-                ProfileConfig(
-                    hz=args.profile_hz, memory=args.profile_mem, path=args.profile
-                )
+                ProfileConfig(hz=args.profile_hz, path=args.profile)
             )
         with session if session is not None else contextlib.nullcontext():
             result = solve_hgp(g, hier, d, cfg, logger=logger)

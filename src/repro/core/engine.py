@@ -365,10 +365,11 @@ def solve_member(
     ``n_jobs == 1``, in pool workers otherwise.  The two phases run as
     the ``dp`` and ``repair`` spans of the member's own
     :class:`Telemetry`, so the profiler attributes samples to them and
-    span observers see them wherever the member runs.  The returned
-    :class:`MemberOutcome` is picklable: its record carries the phase
-    seconds read from those spans and this process's pid, and its span
-    tree is what :func:`fold_members` merges into the run's.
+    they carry the wall and CPU seconds of whichever process ran the
+    member.  The returned :class:`MemberOutcome` is picklable: its
+    record carries the phase seconds read from those spans and this
+    process's pid, and its span tree is what :func:`fold_members` merges
+    into the run's.
     ``attempt`` is which resilience-layer attempt this solve is (stamped
     into the member record as ``attempts``); the solve itself is
     attempt-independent, so retried members produce bit-identical

@@ -9,22 +9,24 @@ moves the shared state out of the job tuples:
 
 * :func:`get_pool` returns the long-lived executor, growing it when a
   run asks for more workers than it currently has (a larger pool is
-  reused as-is — ``Executor.map`` preserves submission order, so results
-  are identical regardless of how many workers actually serve the jobs).
+  reused as-is — each member's future is keyed by its position, so
+  results are identical regardless of how many workers serve the jobs).
 * :func:`publish_generation` pickles one *generation* — the dict of
   everything a run's member jobs share (trees, hierarchy, demands,
   config, grid) — to a spool file **once**.  Pickle's internal
   memoisation dedups the graph referenced by every tree, so the file is
   roughly the size of one instance, not ``n_trees`` of them.
 * Job tuples shrink to ``(ref, member, index, attempt)``; :func:`member_job`
-  loads the generation on the worker (memoised per ``gen_id``, so each
-  worker unpickles a generation at most once) and runs
-  :func:`repro.core.engine.solve_member` exactly as before.
+  loads the generation on the worker (memoised per ``gen_id``, so a
+  worker unpickles a generation once however many of its members it
+  solves) and runs :func:`repro.core.engine.solve_member` exactly as
+  before.
 
-The spool file lives only for the duration of one ``Executor.map`` call;
-the parent unlinks it as soon as all outcomes are back.  Workers keep a
-small LRU of recent generations so the streaming placer's back-to-back
-re-optimisations don't re-read identical payloads.
+The spool file lives for one run: the resilience layer submits each
+member as its own future, retry waves reuse the file, and the parent
+unlinks it once the fan-out is over.  Every run publishes a fresh
+``gen_id``, so a memo hit is only possible within one run and each
+worker keeps just its latest generation.
 
 Determinism: none of this changes *what* runs — only how the inputs
 travel.  ``solve_member`` receives bit-identical arguments either way.
@@ -313,20 +315,18 @@ def live_generations() -> int:
 # worker side
 # ----------------------------------------------------------------------
 
-#: Per-worker memo of recently loaded generations (gen_id -> payload).
-_GEN_CACHE: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-_GEN_CACHE_MAX = 4
+#: This worker's latest loaded generation (gen_id -> payload, at most
+#: one entry: gen_ids are never reused across runs).
+_GEN_CACHE: Dict[str, Dict[str, Any]] = {}
+
 
 def _load_generation(ref: GenerationRef) -> Dict[str, Any]:
     payload = _GEN_CACHE.get(ref.gen_id)
-    if payload is not None:
-        _GEN_CACHE.move_to_end(ref.gen_id)
-        return payload
-    with open(ref.path, "rb") as fh:
-        payload = pickle.load(fh)
-    _GEN_CACHE[ref.gen_id] = payload
-    while len(_GEN_CACHE) > _GEN_CACHE_MAX:
-        _GEN_CACHE.popitem(last=False)
+    if payload is None:
+        with open(ref.path, "rb") as fh:
+            payload = pickle.load(fh)
+        _GEN_CACHE.clear()
+        _GEN_CACHE[ref.gen_id] = payload
     return payload
 
 

@@ -5,9 +5,11 @@ k-BGP reduction, guided iteration, multilevel) threads one
 :class:`Telemetry` object through its engine runs.  It records three
 kinds of data:
 
-* **Spans** — a tree of named wall-clock intervals.  A stage entered
-  twice under the same parent *accumulates* into one span (duration sums,
-  count increments), so ensembles and portfolios stay readable.
+* **Spans** — a tree of named intervals, each timed in wall-clock
+  seconds and in CPU seconds of the thread that ran it.  A stage
+  entered twice under the same parent *accumulates* into one span
+  (durations sum, count increments), so ensembles and portfolios stay
+  readable.
 * **Counters** — named numeric facts attached to the span they were
   observed in (ensemble size, grid cells, beam escalations, …).
 * **Member records** — one :class:`MemberRecord` per decomposition-tree
@@ -31,7 +33,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 __all__ = [
     "Span",
@@ -40,8 +42,6 @@ __all__ = [
     "Telemetry",
     "RunReport",
     "active_spans",
-    "add_span_observer",
-    "remove_span_observer",
 ]
 
 #: Thread ident -> stack of open span names, maintained by
@@ -51,40 +51,6 @@ __all__ = [
 #: inside — which is why it lives at module level rather than on one
 #: collector instance: ``sys._current_frames`` is process-wide too.
 _ACTIVE_SPANS: Dict[int, List[str]] = {}
-
-
-#: Process-wide span observers, notified on every :meth:`Telemetry.span`
-#: enter and exit of every collector in the process — the same scope as
-#: :data:`_ACTIVE_SPANS`, so a profiler wrapped around any call (a
-#: portfolio of several runs, a multilevel solve) sees all of its spans.
-_SPAN_OBSERVERS: List[Callable[[str, str, float], None]] = []
-
-
-def add_span_observer(observer: Callable[[str, str, float], None]) -> None:
-    """Register ``observer(event, name, seconds)`` span callbacks.
-
-    ``event`` is ``"enter"`` (``seconds == 0.0``) or ``"exit"``
-    (``seconds`` = the block's duration).  Used by the profiler's stage
-    resource monitor to bracket RSS/CPU/tracemalloc per stage.  Observer
-    exceptions are swallowed — observability must never fail a solve.
-    """
-    _SPAN_OBSERVERS.append(observer)
-
-
-def remove_span_observer(observer: Callable[[str, str, float], None]) -> None:
-    """Unregister a span observer (no-op when absent)."""
-    try:
-        _SPAN_OBSERVERS.remove(observer)
-    except ValueError:
-        pass
-
-
-def _notify(event: str, name: str, seconds: float) -> None:
-    for obs in tuple(_SPAN_OBSERVERS):
-        try:
-            obs(event, name, seconds)
-        except Exception:
-            pass
 
 
 def active_spans() -> Dict[int, str]:
@@ -111,6 +77,11 @@ class Span:
         ``quantize``, ``dp``, ``repair``, ``refine``).
     seconds:
         Accumulated wall-clock time across all entries.
+    cpu_seconds:
+        Accumulated CPU time of the thread that ran each entry
+        (``time.thread_time``), so a sampler or any other thread in the
+        process is not charged to the span.  Pool members measure it in
+        their worker, and :meth:`merge` sums it like ``seconds``.
     count:
         Number of times the span was entered.
     counters:
@@ -121,6 +92,7 @@ class Span:
 
     name: str
     seconds: float = 0.0
+    cpu_seconds: float = 0.0
     count: int = 0
     counters: Dict[str, float] = field(default_factory=dict)
     children: List["Span"] = field(default_factory=list)
@@ -159,23 +131,29 @@ class Span:
         """
         return sum(c.seconds for c in self.children)
 
-    def add(self, name: str, seconds: float, count: int = 1) -> "Span":
+    def add(
+        self, name: str, seconds: float, count: int = 1, cpu_seconds: float = 0.0
+    ) -> "Span":
         """Accumulate externally measured time under child ``name``."""
         c = self.child(name)
         c.seconds += float(seconds)
+        c.cpu_seconds += float(cpu_seconds)
         c.count += int(count)
         return c
 
     def merge(self, other: "Span") -> None:
         """Accumulate ``other``'s children into the same-named children.
 
-        Seconds, counts and counters add up by name, recursively; a name
-        this span has not seen yet is appended, so first-entry order is
-        kept.  The engine merges each ensemble member's span tree (timed
-        wherever the member ran) into the run's current span.
+        Wall and CPU seconds, counts and counters add up by name,
+        recursively; a name this span has not seen yet is appended, so
+        first-entry order is kept.  The engine merges each ensemble
+        member's span tree (timed wherever the member ran) into the
+        run's current span.
         """
         for theirs in other.children:
-            mine = self.add(theirs.name, theirs.seconds, theirs.count)
+            mine = self.add(
+                theirs.name, theirs.seconds, theirs.count, theirs.cpu_seconds
+            )
             for key, value in theirs.counters.items():
                 mine.counters[key] = mine.counters.get(key, 0.0) + value
             mine.merge(theirs)
@@ -185,6 +163,7 @@ class Span:
         return {
             "name": self.name,
             "seconds": self.seconds,
+            "cpu_seconds": self.cpu_seconds,
             "count": self.count,
             "counters": dict(self.counters),
             "children": [c.to_dict() for c in self.children],
@@ -192,10 +171,14 @@ class Span:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Span":
-        """Rebuild a span subtree from :meth:`to_dict` output."""
+        """Rebuild a span subtree from :meth:`to_dict` output.
+
+        ``cpu_seconds`` loads as 0.0 from reports older than schema v5.
+        """
         return cls(
             name=data["name"],
             seconds=float(data["seconds"]),
+            cpu_seconds=float(data.get("cpu_seconds", 0.0)),
             count=int(data["count"]),
             counters={k: float(v) for k, v in data.get("counters", {}).items()},
             children=[cls.from_dict(c) for c in data.get("children", [])],
@@ -316,18 +299,23 @@ class Telemetry:
 
     @contextmanager
     def span(self, name: str) -> Iterator[Span]:
-        """Open (or re-enter) the child span ``name`` and time the block."""
+        """Open (or re-enter) the child span ``name`` and time the block.
+
+        The block is timed twice: wall-clock (``perf_counter``) into
+        ``seconds`` and this thread's CPU time (``thread_time``) into
+        ``cpu_seconds``.
+        """
         sp = self.current.child(name)
         self._stack.append(sp)
         ident = threading.get_ident()
         _ACTIVE_SPANS.setdefault(ident, []).append(name)
-        _notify("enter", name, 0.0)
         start = time.perf_counter()
+        cpu_start = time.thread_time()
         try:
             yield sp
         finally:
-            elapsed = time.perf_counter() - start
-            sp.seconds += elapsed
+            sp.cpu_seconds += time.thread_time() - cpu_start
+            sp.seconds += time.perf_counter() - start
             sp.count += 1
             self._stack.pop()
             stack = _ACTIVE_SPANS.get(ident)
@@ -335,7 +323,6 @@ class Telemetry:
                 stack.pop()
                 if not stack:
                     _ACTIVE_SPANS.pop(ident, None)
-            _notify("exit", name, elapsed)
 
     def counter(self, name: str, value: float = 1.0) -> None:
         """Add ``value`` to counter ``name`` on the current span."""
@@ -398,15 +385,16 @@ class RunReport:
     failures: List[MemberFailure] = field(default_factory=list)
     degraded: bool = False
     #: Profiler payload when the run was profiled: sample counts per
-    #: span, collapsed stacks, per-stage RSS/CPU/tracemalloc deltas
+    #: span, span shares, hot frames and collapsed stacks
     #: (:attr:`repro.obs.profile.ProfileSession.profile`, stamped by the
     #: caller that profiled the solve).  ``None`` for unprofiled runs.
     profile: Optional[dict] = None
 
     #: v2 added ``degraded`` + ``failures``; v3 added ``profile``; v4
-    #: added ``members[].pid`` (absent in older reports, which still
-    #: load — all default to "nothing failed / not profiled / pid 0").
-    SCHEMA_VERSION = 4
+    #: added ``members[].pid``; v5 added ``spans[].cpu_seconds`` (absent
+    #: in older reports, which still load — all default to "nothing
+    #: failed / not profiled / pid 0 / 0.0 CPU seconds").
+    SCHEMA_VERSION = 5
 
     def to_dict(self) -> dict:
         """JSON-ready dict view of the whole report (versioned schema)."""

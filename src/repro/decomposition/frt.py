@@ -105,7 +105,7 @@ def frt_decomposition_tree(g: Graph, seed: SeedLike = None) -> DecompositionTree
                 new_nodes[lab] = asm.add_internal([cluster_nodes[c] for c in uniq])
         cluster_nodes = new_nodes
         cluster_labels = labels.copy()
-    roots = sorted(set(int(l) for l in cluster_labels))
+    roots = sorted(set(int(c) for c in cluster_labels))
     if len(roots) == 1:
         root = cluster_nodes[roots[0]]
     else:  # pragma: no cover - connected graphs always end with one root

@@ -156,9 +156,6 @@ class DPConfig:
 #: Module default: tiling + bound pruning on.
 _DEFAULT_CONFIG = DPConfig()
 
-#: Kernel-off reference configuration (the pre-kernel merge semantics).
-_LEGACY_CONFIG = DPConfig(tile_size=0, bound_pruning=False)
-
 
 class DPStats:
     """Counters describing one DP run (consumed by E4/E18's scaling studies)."""

@@ -13,8 +13,9 @@ Turns the engine's write-only telemetry into operator-facing artifacts:
 * :mod:`repro.obs.report` — pretty rendering and regression-gating
   diffs behind the ``repro report`` CLI family.
 * :mod:`repro.obs.profile` — continuous sampling profiler with
-  telemetry-span attribution, collapsed-stack output, and per-stage
-  RSS/CPU/tracemalloc deltas (``repro solve --profile``).
+  telemetry-span attribution and collapsed-stack output (``repro solve
+  --profile``).  Wall and CPU seconds per stage live in every report's
+  span tree, profiled or not.
 
 See ``docs/observability.md`` for the metrics catalog and workflows.
 """
@@ -38,7 +39,6 @@ from repro.obs.profile import (
     ProfileConfig,
     ProfileSession,
     SamplingProfiler,
-    StageResourceMonitor,
 )
 from repro.obs.report import (
     ReportDiff,
@@ -58,7 +58,6 @@ __all__ = [
     "ProfileConfig",
     "ProfileSession",
     "SamplingProfiler",
-    "StageResourceMonitor",
     "StructuredLogger",
     "ListSink",
     "NULL_LOGGER",

@@ -17,17 +17,17 @@ thread).
 Three public pieces:
 
 * :class:`ProfileConfig` — the knobs, steered by
-  ``repro solve --profile/--profile-hz/--profile-mem``.
+  ``repro solve --profile/--profile-hz``.
 * :class:`SamplingProfiler` — start/stop flight recorder with
   collapsed-stack (flamegraph-compatible) and JSON summaries.
-* :class:`StageResourceMonitor` — a process-wide telemetry span
-  observer recording per-stage RSS / CPU-time deltas and (opt-in)
-  ``tracemalloc`` allocation deltas.
+* :class:`ProfileSession` — runs the sampler around any call (one
+  solve, a portfolio, a multilevel run) and produces the ``profile``
+  payload of a run report; the caller that profiled stamps it on the
+  report.  The solver itself never starts a profiler.
 
-:class:`ProfileSession` bundles the two around any call (one solve, a
-portfolio, a multilevel run) and produces the ``profile`` payload of
-``RunReport`` schema v3; the caller that profiled stamps it on the
-report.  The solver itself never starts a profiler.
+Wall and CPU seconds per stage are not measured here: every span of
+every run report carries both (:class:`repro.core.telemetry.Span`),
+profiled or not, pool members included.
 """
 
 from __future__ import annotations
@@ -40,19 +40,13 @@ from collections import Counter as _TallyCounter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.telemetry import (
-    active_spans,
-    add_span_observer,
-    remove_span_observer,
-)
+from repro.core.telemetry import active_spans
 from repro.errors import InvalidInputError
 
 __all__ = [
     "ProfileConfig",
     "SamplingProfiler",
-    "StageResourceMonitor",
     "ProfileSession",
-    "rss_bytes",
 ]
 
 #: Frames deeper than this are truncated (keeps pathological recursion
@@ -74,10 +68,6 @@ class ProfileConfig:
     hz:
         Sampling rate.  The default 97 Hz is prime (avoids phase-locking
         with periodic work) and keeps overhead well under 5%.
-    memory:
-        Also track per-stage ``tracemalloc`` allocation deltas.  Adds
-        noticeable overhead (tracemalloc instruments every allocation) —
-        off by default.
     path:
         Write the full collapsed-stack profile to this file after the
         run (flamegraph.pl / speedscope / inferno compatible).  ``None``
@@ -85,7 +75,6 @@ class ProfileConfig:
     """
 
     hz: float = 97.0
-    memory: bool = False
     path: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -93,29 +82,6 @@ class ProfileConfig:
             raise InvalidInputError(
                 f"profile hz must be in [0.1, 10000], got {self.hz}"
             )
-
-
-def rss_bytes() -> int:
-    """Current resident-set size in bytes (0 when unavailable).
-
-    Reads ``/proc/self/statm`` on Linux; falls back to
-    ``resource.getrusage`` (peak, not current — close enough for stage
-    deltas) elsewhere.
-    """
-    try:
-        with open("/proc/self/statm", "rb") as fh:
-            pages = int(fh.read().split()[1])
-        return pages * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, ValueError, IndexError):
-        pass
-    try:
-        import resource
-
-        ru = resource.getrusage(resource.RUSAGE_SELF)
-        scale = 1024 if sys.platform != "darwin" else 1
-        return int(ru.ru_maxrss) * scale
-    except Exception:
-        return 0
 
 
 #: ``(module-prefix, function)`` pairs whose innermost frame marks a
@@ -317,103 +283,8 @@ class SamplingProfiler:
         }
 
 
-class StageResourceMonitor:
-    """Telemetry span observer: per-stage RSS / CPU / allocation deltas.
-
-    Once attached, every telemetry span entered in the process
-    accumulates, per span name, the wall/CPU seconds
-    spent inside it and how much the process RSS moved across it.  With
-    ``memory=True`` a ``tracemalloc`` trace is started (if not already
-    running) and per-stage current/peak allocation deltas are recorded
-    too.
-
-    Nested spans are handled per-thread: enter/exit pairs push and pop a
-    thread-local bracket stack, so ``dp`` inside ``coarse_solve`` is
-    charged to both, exactly like wall-clock span accounting.
-    """
-
-    def __init__(self, memory: bool = False):
-        self.memory = bool(memory)
-        self.stages: Dict[str, dict] = {}
-        self._lock = threading.Lock()
-        self._brackets: Dict[int, List[tuple]] = {}
-        self._we_started_tracemalloc = False
-
-    def attach(self) -> "StageResourceMonitor":
-        """Start observing every span (and tracemalloc when asked)."""
-        if self.memory:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._we_started_tracemalloc = True
-        add_span_observer(self._on_span)
-        return self
-
-    def detach(self) -> None:
-        """Stop observing; stop tracemalloc if this monitor started it."""
-        remove_span_observer(self._on_span)
-        if self._we_started_tracemalloc:
-            import tracemalloc
-
-            tracemalloc.stop()
-            self._we_started_tracemalloc = False
-
-    def _traced(self) -> Tuple[int, int]:
-        if not self.memory:
-            return (0, 0)
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            return (0, 0)
-        return tracemalloc.get_traced_memory()
-
-    def _on_span(self, event: str, name: str, seconds: float) -> None:
-        ident = threading.get_ident()
-        if event == "enter":
-            cur, _peak = self._traced()
-            self._brackets.setdefault(ident, []).append(
-                (name, rss_bytes(), time.process_time(), cur)
-            )
-            return
-        stack = self._brackets.get(ident)
-        if not stack or stack[-1][0] != name:
-            return  # unbalanced (observer attached mid-span); skip
-        _name, rss0, cpu0, mem0 = stack.pop()
-        if not stack:
-            self._brackets.pop(ident, None)
-        rss1 = rss_bytes()
-        cur, peak = self._traced()
-        with self._lock:
-            st = self.stages.setdefault(
-                name,
-                {
-                    "count": 0,
-                    "wall_seconds": 0.0,
-                    "cpu_seconds": 0.0,
-                    "rss_delta_bytes": 0,
-                    "rss_end_bytes": 0,
-                },
-            )
-            st["count"] += 1
-            st["wall_seconds"] += float(seconds)
-            st["cpu_seconds"] += time.process_time() - cpu0
-            st["rss_delta_bytes"] += rss1 - rss0
-            st["rss_end_bytes"] = rss1
-            if self.memory:
-                st["alloc_delta_bytes"] = (
-                    st.get("alloc_delta_bytes", 0) + (cur - mem0)
-                )
-                st["alloc_peak_bytes"] = max(st.get("alloc_peak_bytes", 0), peak)
-
-    def results(self) -> Dict[str, dict]:
-        """Accumulated per-stage resource deltas (stable key order)."""
-        with self._lock:
-            return {k: dict(v) for k, v in sorted(self.stages.items())}
-
-
 class ProfileSession:
-    """Profile any call: sampler + stage monitor, producing report v3.
+    """Profile any call with the sampler, producing a report's ``profile``.
 
     Usage (what ``repro solve --profile`` does)::
 
@@ -422,36 +293,33 @@ class ProfileSession:
         report = result.report()
         report.profile = session.profile
 
-    The stage monitor observes spans process-wide, so every run inside
+    The sampler sees every thread of the process, so every run inside
     the block counts — all members of a portfolio, the coarsening and
     refinement of a multilevel solve.  :meth:`finish` (called on exit)
-    stops everything, writes the full collapsed profile to
+    stops the sampler, writes the full collapsed profile to
     ``config.path`` when set, and returns the JSON-ready ``profile``
-    payload (sampler summary, truncated collapsed stacks, per-stage
-    resources), also kept as :attr:`profile`.
+    payload (sampler summary, span shares, truncated collapsed stacks),
+    also kept as :attr:`profile`.
     """
 
     def __init__(self, config: ProfileConfig = ProfileConfig()):
         self.config = config
         self.profiler = SamplingProfiler(hz=config.hz)
-        self.monitor = StageResourceMonitor(memory=config.memory)
         #: The payload of the last :meth:`finish` (``None`` before).
         self.profile: Optional[dict] = None
         self._started = False
 
     def start(self) -> "ProfileSession":
-        """Attach the stage monitor and launch the sampler."""
+        """Launch the sampler."""
         if self._started:
             return self
-        self.monitor.attach()
         self.profiler.start()
         self._started = True
         return self
 
     def finish(self) -> dict:
-        """Stop profiling and assemble the report-v3 ``profile`` dict."""
+        """Stop profiling and assemble the report's ``profile`` dict."""
         self.profiler.stop()
-        self.monitor.detach()
         self._started = False
         summary = self.profiler.summary()
         collapsed_full = self.profiler.collapsed()
@@ -465,8 +333,6 @@ class ProfileSession:
             "span_shares": self.profiler.span_shares(),
             "collapsed": collapsed_lines[:_REPORT_COLLAPSED_LINES],
             "collapsed_truncated": truncated,
-            "memory": self.config.memory,
-            "stages": self.monitor.results(),
         }
         if self.config.path:
             payload["collapsed_path"] = str(self.config.path)

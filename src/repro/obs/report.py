@@ -3,7 +3,7 @@
 The ``repro report`` CLI family is a thin wrapper over two functions:
 
 * :func:`render_report` — human-readable view of one report: the span
-  tree with total/self seconds (self time via
+  tree with total/self/CPU seconds (self time via
   :meth:`repro.core.telemetry.Span.total_child_seconds`), span counters,
   and a per-member summary table.
 * :func:`diff_reports` — structured comparison of two reports: cost
@@ -54,7 +54,7 @@ def _render_span(span: Span, depth: int, lines: List[str]) -> None:
     lines.append(
         f"{'  ' * depth}{span.name:<{max(1, 24 - 2 * depth)}s} "
         f"{span.seconds * 1e3:9.2f} ms  self {self_seconds * 1e3:9.2f} ms  "
-        f"({span.count}x){counters}"
+        f"cpu {span.cpu_seconds * 1e3:9.2f} ms  ({span.count}x){counters}"
     )
     for child in span.children:
         _render_span(child, depth + 1, lines)
@@ -80,7 +80,7 @@ def _member_latency_line(report: RunReport) -> str:
 
 
 def _render_profile(profile: dict, lines: List[str]) -> None:
-    """Append the profile section (schema-v3 reports) to ``lines``."""
+    """Append the profile section (profiled runs, schema v3+) to ``lines``."""
     lines.append("")
     lines.append(
         f"profile: {profile.get('samples', 0)} samples @ "
@@ -93,15 +93,6 @@ def _render_profile(profile: dict, lines: List[str]) -> None:
         lines.append(
             "  span shares: "
             + "  ".join(f"{name} {share:.0%}" for name, share in ranked)
-        )
-    stages = profile.get("stages") or {}
-    for name, st in stages.items():
-        extra = ""
-        if "alloc_peak_bytes" in st:
-            extra = f"  alloc_peak {st['alloc_peak_bytes'] / 1e6:.1f} MB"
-        lines.append(
-            f"  {name:<12s} cpu {st.get('cpu_seconds', 0.0) * 1e3:8.1f} ms  "
-            f"rss {st.get('rss_delta_bytes', 0) / 1e6:+7.1f} MB{extra}"
         )
 
 
@@ -118,7 +109,7 @@ def render_report(report: RunReport) -> str:
         header += "  DEGRADED"
     lines.append(header)
     lines.append("")
-    lines.append("spans (total / self / entries):")
+    lines.append("spans (total / self / cpu / entries):")
     _render_span(report.spans, 1, lines)
     if report.members:
         lines.append("")

@@ -23,8 +23,8 @@ and https://ui.perfetto.dev consume:
 Timestamps are microseconds from a synthetic origin; they are exact for
 durations and *plausible* for starts — the report does not record
 absolute event times, and the exporter never invents overlap within a
-lane.  Span counters and member DP statistics ride in each event's
-``args`` so Perfetto's selection panel shows them.
+lane.  Span counts, CPU seconds and counters, and member DP statistics,
+ride in each event's ``args`` so Perfetto's selection panel shows them.
 """
 
 from __future__ import annotations
@@ -54,7 +54,10 @@ def _span_events(
     for child in span.children:
         child_cursor += _span_events(child, child_cursor, tid, events)
     dur = max(span.seconds * 1e6, child_cursor - ts)
-    args: Dict[str, object] = {"count": span.count}
+    args: Dict[str, object] = {
+        "count": span.count,
+        "cpu_seconds": span.cpu_seconds,
+    }
     args.update(span.counters)
     events.append(
         {

@@ -27,8 +27,9 @@ requests differing only in SLO share one in-flight solve.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -101,6 +102,17 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+@contextmanager
+def _invalid(where: str) -> Iterator[None]:
+    """Raise a bad or wrongly typed value met in the block as a ProtocolError."""
+    try:
+        yield
+    except ProtocolError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"invalid {where}: {exc}") from exc
+
+
 def parse_solve_request(
     body: bytes, default_priority: str = "interactive"
 ) -> SolveRequest:
@@ -120,35 +132,32 @@ def parse_solve_request(
     gobj = _require(obj, "graph", "$")
     if not isinstance(gobj, dict):
         raise ProtocolError("graph must be an object with n and edges")
-    n = int(_require(gobj, "n", "graph"))
     edges = []
-    for i, e in enumerate(_require(gobj, "edges", "graph")):
-        if len(e) == 2:
-            u, v, w = e[0], e[1], 1.0
-        elif len(e) == 3:
-            u, v, w = e
-        else:
-            raise ProtocolError(
-                f"graph.edges[{i}] must be [u, v] or [u, v, w], got {e!r}"
-            )
-        edges.append((int(u), int(v), float(w)))
-    try:
+    with _invalid("graph"):
+        n = int(_require(gobj, "n", "graph"))
+        for i, e in enumerate(_require(gobj, "edges", "graph")):
+            if len(e) == 2:
+                u, v, w = e[0], e[1], 1.0
+            elif len(e) == 3:
+                u, v, w = e
+            else:
+                raise ProtocolError(
+                    f"graph.edges[{i}] must be [u, v] or [u, v, w], got {e!r}"
+                )
+            edges.append((int(u), int(v), float(w)))
         graph = Graph(n, edges)
-    except InvalidInputError as exc:
-        raise ProtocolError(f"invalid graph: {exc}") from exc
 
     hobj = _require(obj, "hierarchy", "$")
     if not isinstance(hobj, dict):
         raise ProtocolError("hierarchy must be an object with degrees and cm")
-    degrees = tuple(int(d) for d in _require(hobj, "degrees", "hierarchy"))
-    cm = tuple(float(c) for c in _require(hobj, "cm", "hierarchy"))
-    leaf_capacity = float(hobj.get("leaf_capacity", 1.0))
-    try:
+    with _invalid("hierarchy"):
+        degrees = tuple(int(d) for d in _require(hobj, "degrees", "hierarchy"))
+        cm = tuple(float(c) for c in _require(hobj, "cm", "hierarchy"))
+        leaf_capacity = float(hobj.get("leaf_capacity", 1.0))
         hierarchy = Hierarchy(degrees, cm, leaf_capacity=leaf_capacity)
-    except InvalidInputError as exc:
-        raise ProtocolError(f"invalid hierarchy: {exc}") from exc
 
-    demands = np.asarray(_require(obj, "demands", "$"), dtype=np.float64)
+    with _invalid("demands"):
+        demands = np.asarray(_require(obj, "demands", "$"), dtype=np.float64)
     if demands.ndim != 1 or demands.size != graph.n:
         raise ProtocolError(
             f"demands must be a flat list of {graph.n} floats, got shape "
@@ -163,7 +172,8 @@ def parse_solve_request(
 
     deadline_s = obj.get("deadline_s")
     if deadline_s is not None:
-        deadline_s = float(deadline_s)
+        with _invalid("deadline_s"):
+            deadline_s = float(deadline_s)
         if deadline_s <= 0:
             raise ProtocolError(f"deadline_s must be > 0, got {deadline_s}")
 
@@ -225,9 +235,10 @@ def build_config(
     """The effective solver config for one request.
 
     Applies the request's whitelisted overrides to the server's base
-    config, then folds the remaining SLO budget into the resilience
-    block: ``total_deadline_s`` is clamped to the remaining budget (so
-    retries can never outlive the SLO — see
+    config (a value ``SolverConfig`` rejects raises :class:`ProtocolError`),
+    then folds the remaining SLO budget into the resilience block:
+    ``total_deadline_s`` is clamped to the remaining budget (so retries
+    can never outlive the SLO — see
     :class:`repro.core.resilience.ResilienceConfig`), and a missing
     ``member_timeout_s`` is bounded by it too so a single hung pool
     member cannot eat the whole budget silently.
@@ -236,7 +247,7 @@ def build_config(
     if req.overrides:
         try:
             cfg = replace(cfg, **req.overrides)
-        except InvalidInputError as exc:
+        except (TypeError, ValueError) as exc:
             raise ProtocolError(f"invalid config override: {exc}") from exc
     res = cfg.resilience
     changes: Dict[str, Any] = {}

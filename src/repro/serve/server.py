@@ -542,6 +542,9 @@ class PlacementServer:
         t0 = time.monotonic()
         try:
             req = protocol.parse_solve_request(body)
+            # Apply the overrides now, so a bad one is a 400 here and
+            # never claims a key or reaches the dispatcher.
+            protocol.build_config(req, self.config.solver)
         except protocol.ProtocolError as exc:
             self._m_responses.inc(code="400")
             return protocol.http_response(
@@ -704,10 +707,7 @@ class PlacementServer:
             if job.deadline_at is None
             else max(1e-3, job.deadline_at - time.monotonic())
         )
-        try:
-            cfg = protocol.build_config(req, self.config.solver, budget)
-        except protocol.ProtocolError as exc:
-            return _Payload(400, protocol.json_body({"error": str(exc)}))
+        cfg = protocol.build_config(req, self.config.solver, budget)
         t0 = time.monotonic()
         try:
             result = run_pipeline(

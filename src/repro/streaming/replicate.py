@@ -26,7 +26,7 @@ from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.errors import InvalidInputError
-from repro.streaming.operators import Operator, StreamDAG
+from repro.streaming.operators import StreamDAG
 
 __all__ = ["replicate_operator", "auto_replicate"]
 

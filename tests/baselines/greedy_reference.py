@@ -79,7 +79,7 @@ def greedy_placement(
             leaf = int(
                 min(
                     range(k),
-                    key=lambda l: (cand[l], -loads[l]),
+                    key=lambda j: (cand[j], -loads[j]),
                 )
             )
         else:

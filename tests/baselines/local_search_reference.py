@@ -196,7 +196,7 @@ def refine_placement(
             base = float(
                 np.dot(cm[np.asarray(hier.lca_level(src, nbr_leaves))], ws)
             )
-            candidates = set(int(l) for l in np.unique(nbr_leaves))
+            candidates = set(int(j) for j in np.unique(nbr_leaves))
             candidates.add(int(np.argmin(leaf_loads)))
             candidates.discard(src)
             best_leaf: Optional[int] = None
@@ -282,11 +282,11 @@ def enforce_capacity(
     stuck: set[int] = set()  # overloaded leaves with no feasible eviction
     while moves < max_moves:
         over = [
-            int(l) for l in np.nonzero(loads > budget)[0] if int(l) not in stuck
+            int(j) for j in np.nonzero(loads > budget)[0] if int(j) not in stuck
         ]
         if not over:
             break
-        leaf = max(over, key=lambda l: loads[l])
+        leaf = max(over, key=lambda j: loads[j])
         residents = np.nonzero(leaf_of == leaf)[0]
         if residents.size <= 1:
             stuck.add(leaf)  # single oversized vertex: nothing to evict

@@ -64,7 +64,6 @@ class TestMapPartsToLeaves:
         """Parts that talk a lot should land under the same socket."""
         # 8 parts in 4 chatty pairs: (0,1), (2,3), (4,5), (6,7).
         edges = []
-        base = 0
         for pair in range(4):
             a, b = 2 * pair, 2 * pair + 1
             edges.append((a, b, 50.0))

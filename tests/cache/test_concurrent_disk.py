@@ -10,7 +10,6 @@ import multiprocessing as mp
 import pickle
 
 import numpy as np
-import pytest
 
 from repro.cache.cache import SolverCache
 

@@ -417,8 +417,12 @@ class TestProfileFlags:
         for line in collapsed.read_text().splitlines():
             assert line.startswith("span:")
         data = json.loads(report.read_text())
-        assert data["schema_version"] == 4
+        assert data["schema_version"] == 5
         assert data["profile"]["hz"] == 300.0
+        assert not {"stages", "memory"} & set(data["profile"])
+        stages = {c["name"]: c for c in data["spans"]["children"]}
+        assert stages["dp"]["count"] == 2
+        assert stages["dp"]["cpu_seconds"] > 0
 
     def test_profile_rejected_for_baselines(self, graph_file, tmp_path, capsys):
         path, _g = graph_file

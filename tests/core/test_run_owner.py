@@ -3,8 +3,8 @@
 The function that created a call's :class:`Telemetry` owns the run: it
 alone writes ``<path>_<run_id>.json`` under ``REPRO_RUN_REPORT_DIR``,
 once, after the whole call, so the file holds every member record of
-the call.  A :class:`ProfileSession` wrapped around a call observes the
-spans of every run inside it.
+the call.  A :class:`ProfileSession` wrapped around a call samples every
+run inside it.
 """
 
 import json
@@ -108,8 +108,12 @@ class TestOneProfilePerCall:
         g, h, d = clustered_instance
         with ProfileSession(ProfileConfig(hz=200.0)) as session:
             result = solve_hgp_portfolio(g, h, d, seed_portfolio(CFG, 3))
-        stages = session.profile["stages"]
-        assert stages["trees"]["count"] == 3
-        for name in ("trees", "quantize", "refine"):
-            spans = result.telemetry.find_spans(name)
-            assert stages[name]["count"] == sum(s.count for s in spans)
+        # Every run's stages land in the one span tree, with their CPU,
+        # and the sampler attributes samples only to those spans.
+        root = result.telemetry.root
+        runs = {"trees": 3, "quantize": 3, "dp": 6, "repair": 6, "refine": 3}
+        assert {c.name: c.count for c in root.children} == runs
+        for name in ("trees", "dp", "repair", "refine"):
+            assert root.child(name).cpu_seconds > 0, name
+        shares = session.profile["span_shares"]
+        assert set(shares) - {"-"} <= set(runs), f"span shares: {shares}"

@@ -1,6 +1,8 @@
 """Unit tests for the structured telemetry layer (spans, records, reports)."""
 
 import json
+import math
+import threading
 import time
 
 import pytest
@@ -10,9 +12,16 @@ from repro.core.telemetry import (
     RunReport,
     Span,
     Telemetry,
-    add_span_observer,
-    remove_span_observer,
 )
+
+
+def _busy(seconds: float) -> float:
+    """Burn CPU on the calling thread for roughly ``seconds``."""
+    deadline = time.perf_counter() + seconds
+    acc = 0.0
+    while time.perf_counter() < deadline:
+        acc += math.sqrt(acc + 1.0)
+    return acc
 
 
 class TestSpans:
@@ -90,18 +99,19 @@ class TestSpans:
         assert dp.count == 3
 
     def test_merge_accumulates_by_name(self):
-        """Seconds, counts and counters add up by name, recursively."""
+        """Wall and CPU seconds, counts and counters add up by name,
+        recursively."""
         run = Span("run")
         run.add("trees", 1.0)
         first = Span("member")
-        dp = first.add("dp", 0.5)
+        dp = first.add("dp", 0.5, cpu_seconds=0.375)
         dp.counters["states"] = 3.0
         dp.add("merge", 0.25)
         first.add("repair", 0.125)
         second = Span("member")
         repair = second.add("repair", 0.25)  # entered before dp here
         repair.counters["moves"] = 2.0
-        dp = second.add("dp", 1.0, count=2)
+        dp = second.add("dp", 1.0, count=2, cpu_seconds=0.75)
         dp.counters["states"] = 4.0
         dp.add("merge", 0.5)
         dp.add("prune", 0.125)
@@ -113,6 +123,7 @@ class TestSpans:
         assert [c.name for c in run.children] == ["trees", "dp", "repair"]
         dp = run.child("dp")
         assert dp.seconds == pytest.approx(1.5)
+        assert dp.cpu_seconds == pytest.approx(1.125)
         assert dp.count == 3
         assert dp.counters == {"states": 7.0}
         assert [c.name for c in dp.children] == ["merge", "prune"]
@@ -129,6 +140,26 @@ class TestSpans:
         assert first.child("dp").seconds == pytest.approx(0.5)
         assert first.child("dp").counters == {"states": 3.0}
 
+    def test_span_records_thread_cpu(self):
+        tel = Telemetry("run")
+        with tel.span("busy"):
+            _busy(0.1)
+        busy = tel.root.child("busy")
+        assert busy.cpu_seconds > 0.02
+        assert busy.cpu_seconds <= busy.seconds + 1e-3
+
+    def test_cpu_excludes_other_threads(self):
+        """A span's CPU is its own thread's: another thread burning CPU
+        meanwhile is not charged to it (``process_time`` would be)."""
+        tel = Telemetry("run")
+        burner = threading.Thread(target=_busy, args=(0.2,))
+        with tel.span("wait"):
+            burner.start()
+            burner.join()
+        wait = tel.root.child("wait")
+        assert wait.seconds > 0.15
+        assert wait.cpu_seconds < 0.05
+
     def test_find_spans_includes_root(self):
         tel = Telemetry("dp")
         with tel.span("dp"):
@@ -139,7 +170,7 @@ class TestSpans:
 class TestSerialization:
     def test_span_round_trip(self):
         root = Span("run")
-        child = root.add("dp", 1.25, count=3)
+        child = root.add("dp", 1.25, count=3, cpu_seconds=1.0)
         child.counters["states"] = 7.0
         child.add("merge", 0.5)
         again = Span.from_dict(root.to_dict())
@@ -184,69 +215,22 @@ class TestSerialization:
         assert report.to_dict()["schema_version"] == RunReport.SCHEMA_VERSION
 
 
-class TestSpanObservers:
-    @pytest.fixture
-    def observe(self):
-        """Register process-wide observers, removed again after the test."""
-        added = []
-
-        def add(observer):
-            add_span_observer(observer)
-            added.append(observer)
-            return observer
-
-        yield add
-        for observer in added:
-            remove_span_observer(observer)
-
-    def test_enter_exit_events_fire(self, observe):
-        tel = Telemetry("x")
-        events = []
-        observe(lambda ev, name, s: events.append((ev, name, s)))
-        with tel.span("outer"):
-            with tel.span("inner"):
-                pass
-        assert [(e, n) for e, n, _s in events] == [
-            ("enter", "outer"),
-            ("enter", "inner"),
-            ("exit", "inner"),
-            ("exit", "outer"),
-        ]
-        assert events[0][2] == 0.0  # enter carries no duration
-        assert events[3][2] >= events[2][2] >= 0.0
-
-    def test_remove_observer(self):
-        tel = Telemetry("x")
-        events = []
-        obs = lambda ev, name, s: events.append(ev)  # noqa: E731
-        add_span_observer(obs)
-        remove_span_observer(obs)
-        with tel.span("a"):
-            pass
-        assert events == []
-
-    def test_observer_exceptions_swallowed(self, observe):
-        tel = Telemetry("x")
-
-        def bad(ev, name, s):
-            raise RuntimeError("observer bug")
-
-        observe(bad)
-        with tel.span("a"):  # must not raise
-            pass
-        assert tel.root.child("a").count == 1
-
-    def test_span_timing_survives_observer(self, observe):
-        tel = Telemetry("x")
-        observe(lambda *a: None)
-        with tel.span("a"):
-            time.sleep(0.01)
-        assert tel.root.child("a").seconds >= 0.005
-
-
 class TestSchemaV4:
     def test_version_is_4(self):
-        assert RunReport.SCHEMA_VERSION == 4
+        """Schema v5 (spans carry ``cpu_seconds``) still loads v4 reports."""
+        assert RunReport.SCHEMA_VERSION == 5
+        tel = Telemetry("x")
+        tel.root.add("dp", 0.5, count=2, cpu_seconds=0.25)
+        data = json.loads(tel.report().to_json())
+        assert data["schema_version"] == 5
+        assert data["spans"]["children"][0]["cpu_seconds"] == 0.25
+        data["schema_version"] = 4
+        for span in (data["spans"], *data["spans"]["children"]):
+            del span["cpu_seconds"]
+        spans = RunReport.from_json(json.dumps(data)).spans
+        assert spans.cpu_seconds == 0.0
+        assert spans.child("dp").cpu_seconds == 0.0
+        assert spans.child("dp").seconds == pytest.approx(0.5)
 
     def test_pre_v4_members_load_with_pid_0(self):
         """Reports written before ``members[].pid`` existed still load."""
@@ -272,3 +256,21 @@ class TestSchemaV3:
         assert report.profile is None
         assert RunReport.from_json(report.to_json()).profile is None
 
+
+
+class TestEngineSpans:
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_stage_spans_carry_cpu(self, clustered_instance, n_jobs):
+        """Every stage span of an engine run, pool members' ``dp`` and
+        ``repair`` included, carries the CPU of the thread that ran it."""
+        from repro.core.config import SolverConfig
+        from repro.core.solver import solve_hgp
+
+        g, h, d = clustered_instance
+        report = solve_hgp(g, h, d, SolverConfig(n_jobs=n_jobs)).report()
+        data = json.loads(report.to_json())
+        assert data["schema_version"] == 5
+        stages = {c["name"]: c for c in data["spans"]["children"]}
+        for name in ("trees", "dp", "repair", "refine"):
+            assert stages[name]["cpu_seconds"] > 0, name
+        assert stages["dp"]["count"] == stages["repair"]["count"] == 8

@@ -10,8 +10,6 @@ import pkgutil
 
 import pytest
 
-import repro
-
 PACKAGES = [
     "repro",
     "repro.graph",

@@ -1,12 +1,14 @@
 """End-to-end tests of the coarsen–solve–refine front-end."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.kernels as kernels
-from repro.core.config import MultilevelConfig, SolverConfig
+from repro.bench.instances import FAMILIES
+from repro.core.config import CacheConfig, MultilevelConfig, SolverConfig
 from repro.core.engine import EngineResult
 from repro.core.solver import solve_hgp
 from repro.core.telemetry import RunReport
@@ -79,6 +81,25 @@ class TestSolveMultilevel:
         assert res.levels.stats.levels == 1
         assert res.levels.maps == []
         assert res.refine_stats == []
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("family", ["blocks", "powerlaw", "grid", "dag"])
+    def test_trivial_coarsening_matches_flat(self, family, seed):
+        """With nothing to coarsen (``coarsen_to`` above n), the multilevel
+        solve returns the flat solve's placement and cost.  The cache is
+        off, so the second solve cannot reuse the first one's trees."""
+        hier = Hierarchy([2, 4], [10.0, 3.0, 0.0])
+        g = FAMILIES[family](24, seed)
+        d = random_demands(g.n, hier.total_capacity, fill=0.6, skew=0.3, seed=seed)
+        flat_cfg = SolverConfig(seed=0, n_trees=4, cache=CacheConfig(enabled=False))
+        ml_cfg = replace(
+            flat_cfg, multilevel=MultilevelConfig(enabled=True, coarsen_to=10000)
+        )
+        flat = solve_hgp(g, hier, d, flat_cfg)
+        ml = solve_hgp(g, hier, d, ml_cfg)
+        assert ml.placement.meta["solver"] == "hgp_multilevel"
+        assert np.array_equal(ml.placement.leaf_of, flat.placement.leaf_of)
+        assert ml.cost == flat.cost
 
     def test_refine_passes_zero_is_pure_projection(self, instance):
         g, hier, d = instance

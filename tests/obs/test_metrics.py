@@ -7,9 +7,6 @@ import pytest
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
 )

@@ -1,4 +1,4 @@
-"""Continuous profiler: sampler, span attribution, stage resources.
+"""Continuous profiler: sampler, span attribution, session payload.
 
 Sampling tests spin a busy loop on the main thread and assert the
 profiler catches it attributed to the surrounding telemetry span — the
@@ -11,6 +11,7 @@ import json
 import math
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from repro.obs.profile import (
     ProfileConfig,
     ProfileSession,
     SamplingProfiler,
-    StageResourceMonitor,
-    rss_bytes,
 )
 
 
@@ -35,12 +34,20 @@ def _busy(seconds: float) -> float:
     return acc
 
 
+def _span_names(span) -> set:
+    """Every span name in the subtree rooted at ``span``."""
+    names = {span.name}
+    for child in span.children:
+        names |= _span_names(child)
+    return names
+
+
 class TestProfileConfig:
     def test_defaults(self):
         cfg = ProfileConfig()
         assert cfg.hz == pytest.approx(97.0)
-        assert not cfg.memory
         assert cfg.path is None
+        assert [f.name for f in fields(cfg)] == ["hz", "path"]
 
     def test_hz_bounds(self):
         ProfileConfig(hz=0.1)
@@ -216,63 +223,6 @@ class TestSamplingProfiler:
                        for ln in prof.collapsed().splitlines())
 
 
-class TestStageResourceMonitor:
-    def test_records_stage_deltas(self):
-        tel = Telemetry("t")
-        mon = StageResourceMonitor().attach()
-        with tel.span("stage_a"):
-            _busy(0.05)
-        with tel.span("stage_a"):
-            _busy(0.05)
-        with tel.span("stage_b"):
-            pass
-        mon.detach()
-        res = mon.results()
-        assert res["stage_a"]["count"] == 2
-        assert res["stage_a"]["cpu_seconds"] > 0.02
-        assert res["stage_a"]["wall_seconds"] > 0.05
-        assert "rss_delta_bytes" in res["stage_a"]
-        assert res["stage_b"]["count"] == 1
-
-    def test_nested_spans_charged_to_both(self):
-        tel = Telemetry("t")
-        mon = StageResourceMonitor().attach()
-        with tel.span("outer"):
-            with tel.span("inner"):
-                _busy(0.05)
-        mon.detach()
-        res = mon.results()
-        assert res["outer"]["cpu_seconds"] >= res["inner"]["cpu_seconds"] * 0.5
-        assert res["inner"]["count"] == 1
-
-    def test_detach_stops_observing(self):
-        tel = Telemetry("t")
-        mon = StageResourceMonitor().attach()
-        mon.detach()
-        with tel.span("after"):
-            pass
-        assert "after" not in mon.results()
-
-    def test_memory_mode_tracks_allocations(self):
-        tel = Telemetry("t")
-        mon = StageResourceMonitor(memory=True).attach()
-        with tel.span("alloc"):
-            blob = [bytes(1024) for _ in range(2000)]  # ~2 MB
-        mon.detach()
-        del blob
-        st = mon.results()["alloc"]
-        assert st["alloc_delta_bytes"] > 1_000_000
-        assert st["alloc_peak_bytes"] >= st["alloc_delta_bytes"]
-        import tracemalloc
-
-        assert not tracemalloc.is_tracing()  # monitor stopped what it started
-
-
-class TestRssBytes:
-    def test_positive_on_linux(self):
-        assert rss_bytes() > 0
-
-
 class TestProfileSession:
     def test_payload_shape_and_file(self, tmp_path):
         out = tmp_path / "prof.collapsed"
@@ -289,7 +239,10 @@ class TestProfileSession:
         assert payload["collapsed_path"] == str(out)
         assert out.exists()
         assert out.read_text().splitlines()[0].startswith("span:")
-        assert payload["stages"]["work"]["count"] == 1
+        # Stage times live in the span tree, not in the payload.
+        assert not {"stages", "memory"} & set(payload)
+        work = tel.root.child("work")
+        assert work.count == 1 and work.cpu_seconds > 0.05
         json.dumps(payload)
 
     def test_context_manager_keeps_profile(self):
@@ -335,14 +288,16 @@ class TestPipelineIntegration:
         g, h, d = clustered_instance
         cfg = SolverConfig(n_trees=4, seed=5)
         with ProfileSession(ProfileConfig(hz=500.0)) as session:
-            run_pipeline(g, h, d, cfg, path="profile-test")
+            result = run_pipeline(g, h, d, cfg, path="profile-test")
         profile = session.profile
         assert profile is not None
         assert profile["samples"] > 0
         shares = profile["span_shares"]
         unattributed = shares.get("-", 0.0)
         assert unattributed < 0.2, f"span shares: {shares}"
-        assert profile["stages"], "stage resource monitor saw no spans"
+        assert set(shares) - {"-"} <= _span_names(result.telemetry.root), (
+            f"span shares: {shares}"
+        )
 
     def test_multilevel_profiles_frontend_stages(self, clustered_instance):
         from repro.core.config import MultilevelConfig, SolverConfig
@@ -356,22 +311,30 @@ class TestPipelineIntegration:
             multilevel=MultilevelConfig(enabled=True, coarsen_to=12),
         )
         with ProfileSession(ProfileConfig(hz=400.0)) as session:
-            solve_multilevel(g, h, np.asarray(d), cfg)
+            result = solve_multilevel(g, h, np.asarray(d), cfg)
         profile = session.profile
         assert profile is not None
-        stages = profile["stages"]
+        assert set(profile["span_shares"]) - {"-"} <= _span_names(
+            result.telemetry.root
+        ), f"span shares: {profile['span_shares']}"
         for name in ("coarsen", "coarse_solve", "uncoarsen"):
-            assert name in stages, f"missing front-end stage {name}: {stages}"
+            (span,) = result.telemetry.find_spans(name)
+            assert span.count == 1 and span.cpu_seconds > 0, name
 
     def test_serial_members_get_stage_rows(self, clustered_instance):
-        """In-process members run their phases as spans, so the stage
-        monitor gets one ``dp`` and one ``repair`` row entry per member."""
+        """In-process members run their phases as spans: a profiled serial
+        solve's span tree has one ``dp`` and one ``repair`` entry per
+        member, each with CPU time, and no sample lands outside it."""
         from repro.core.config import SolverConfig
         from repro.core.solver import solve_hgp
 
         g, h, d = clustered_instance
         cfg = SolverConfig(n_trees=4, seed=5)
         with ProfileSession(ProfileConfig(hz=200.0)) as session:
-            solve_hgp(g, h, d, cfg)
-        stages = session.profile["stages"]
-        assert stages["dp"]["count"] == stages["repair"]["count"] == 4
+            result = solve_hgp(g, h, d, cfg)
+        root = result.telemetry.root
+        assert root.child("dp").count == root.child("repair").count == 4
+        assert root.child("dp").cpu_seconds > 0
+        assert root.child("repair").cpu_seconds > 0
+        shares = session.profile["span_shares"]
+        assert set(shares) - {"-"} <= _span_names(root), f"span shares: {shares}"

@@ -49,6 +49,13 @@ class TestRender:
         # dp total 100 ms, self 100-60 = 40 ms.
         assert "40.00 ms" in text
 
+    def test_cpu_column_from_span_tree(self):
+        tel = Telemetry("run")
+        tel.root.add("dp", 0.1, cpu_seconds=0.075)
+        text = render_report(tel.report())
+        assert "spans (total / self / cpu / entries):" in text
+        assert "cpu     75.00 ms  (1x)" in text
+
 
 class TestStageDelta:
     def test_delta_pct(self):

@@ -16,7 +16,7 @@ def report():
     with tel.span("trees"):
         tel.counter("n_trees", 2)
     tel.root.add("quantize", 0.001)
-    tel.root.add("dp", 0.05, count=2)
+    tel.root.add("dp", 0.05, count=2, cpu_seconds=0.04)
     tel.root.add("repair", 0.004, count=2)
     tel.root.add("refine", 0.01)
     tel.record_member(
@@ -151,6 +151,14 @@ class TestWorkerLanes:
         assert dp0["args"]["method"] == "spectral"
         assert dp0["args"]["dp_states_max"] == 40
         assert dp0["dur"] == pytest.approx(0.03 * 1e6)
+
+    def test_span_args_carry_cpu_seconds(self, report):
+        trace = report_to_trace(report)
+        dp = next(
+            e for e in trace["traceEvents"] if e.get("name") == "dp" and e["tid"] == 0
+        )
+        assert dp["args"]["cpu_seconds"] == pytest.approx(0.04)
+        assert dp["args"]["count"] == 2
 
     def test_members_start_inside_dp_stage(self, report):
         trace = report_to_trace(report)
