@@ -43,9 +43,9 @@ def stoer_wagner(g: Graph) -> Tuple[float, np.ndarray]:
 
     Classic Stoer–Wagner: repeat *minimum cut phases* (maximum-adjacency
     orderings) on a shrinking contracted graph, keeping the best
-    cut-of-the-phase.  O(n·m + n² log n) conceptually; here O(n³)-ish with
-    dense numpy inner ops, which is fine for the ≲ 500-vertex pieces the
-    decomposition builders hand it.
+    cut-of-the-phase.  O(n³) on a dense weight matrix held as Python
+    lists (one ``tolist()`` per call), which is fine for the ≲ 500-vertex
+    pieces the decomposition builders hand it.
 
     Returns
     -------
@@ -61,9 +61,10 @@ def stoer_wagner(g: Graph) -> Tuple[float, np.ndarray]:
 
     n = g.n
     # Dense symmetric weight matrix of the current contracted graph.
-    w = np.zeros((n, n), dtype=np.float64)
-    w[g.edges_u, g.edges_v] = g.edges_w
-    w[g.edges_v, g.edges_u] = g.edges_w
+    dense = np.zeros((n, n), dtype=np.float64)
+    dense[g.edges_u, g.edges_v] = g.edges_w
+    dense[g.edges_v, g.edges_u] = g.edges_w
+    w = dense.tolist()
     # groups[i] = original vertices merged into supervertex i.
     groups = [[i] for i in range(n)]
     active = list(range(n))
@@ -72,28 +73,34 @@ def stoer_wagner(g: Graph) -> Tuple[float, np.ndarray]:
     best_group: list[int] = []
 
     while len(active) > 1:
-        # Maximum-adjacency ordering within `active`.
-        a0 = active[0]
-        in_a = {a0}
-        weights_to_a = {v: w[a0, v] for v in active if v != a0}
-        order = [a0]
-        while len(in_a) < len(active):
-            nxt = max(weights_to_a, key=lambda v: weights_to_a[v])
-            order.append(nxt)
-            in_a.add(nxt)
+        # Maximum-adjacency ordering within `active`; the last two added
+        # are s and t.
+        s = t = active[0]
+        row = w[t]
+        weights_to_a = {v: row[v] for v in active if v != t}
+        while weights_to_a:
+            nxt = max(weights_to_a, key=weights_to_a.__getitem__)
+            s, t = t, nxt
             del weights_to_a[nxt]
+            row = w[nxt]
             for v in weights_to_a:
-                weights_to_a[v] += w[nxt, v]
-        s, t = order[-2], order[-1]
-        cut_of_phase = float(sum(w[t, v] for v in active if v != t))
+                weights_to_a[v] += row[v]
+        # Explicit left-to-right sum: builtin sum() compensates floats
+        # from Python 3.12 on, and np.sum sums pairwise.
+        w_t = w[t]
+        cut_of_phase = 0.0
+        for v in active:
+            if v != t:
+                cut_of_phase += w_t[v]
         if cut_of_phase < best_weight:
             best_weight = cut_of_phase
             best_group = list(groups[t])
         # Contract t into s.
+        w_s = w[s]
         for v in active:
-            if v not in (s, t):
-                w[s, v] += w[t, v]
-                w[v, s] = w[s, v]
+            if v != s and v != t:
+                w_s[v] += w_t[v]
+                w[v][s] = w_s[v]
         groups[s].extend(groups[t])
         active.remove(t)
 

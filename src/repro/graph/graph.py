@@ -355,6 +355,11 @@ class Graph:
     def subgraph(self, vertices: Sequence[int]) -> Tuple["Graph", np.ndarray]:
         """Induced subgraph on ``vertices``.
 
+        The canonical edges restricted to a vertex set have no parallels,
+        self-loops or bad weights, so the subgraph's edge list is built
+        directly — relabel, orient each edge ``(lo, hi)``, one stable sort
+        — without the constructor's merge and validation.
+
         Returns
         -------
         (Graph, numpy.ndarray)
@@ -364,15 +369,25 @@ class Graph:
         verts = np.asarray(list(vertices), dtype=np.int64)
         if verts.size != np.unique(verts).size:
             raise InvalidInputError("subgraph vertex list contains duplicates")
+        n_sub = int(verts.size)
         new_id = np.full(self.n, -1, dtype=np.int64)
-        new_id[verts] = np.arange(verts.size)
-        keep = (new_id[self.edges_u] >= 0) & (new_id[self.edges_v] >= 0)
-        sub = Graph.from_edge_arrays(
-            int(verts.size),
-            new_id[self.edges_u[keep]],
-            new_id[self.edges_v[keep]],
-            self.edges_w[keep],
-        )
+        new_id[verts] = np.arange(n_sub)
+        a = new_id[self.edges_u]
+        b = new_id[self.edges_v]
+        keep = (a >= 0) & (b >= 0)
+        a, b = a[keep], b[keep]
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        order = np.argsort(lo * n_sub + hi, kind="stable")
+        sub = Graph.__new__(Graph)
+        sub.n = n_sub
+        sub.edges_u = lo[order]
+        sub.edges_v = hi[order]
+        sub.edges_w = self.edges_w[keep][order]
+        sub.m = int(order.size)
+        sub._build_csr()
+        sub._weighted_degrees = None
+        sub._digest = None
         return sub, verts
 
     def contract(self, labels: np.ndarray) -> "Graph":
@@ -404,7 +419,7 @@ class Graph:
         (int, numpy.ndarray)
             The number of components and a dense label vector.
         """
-        parent = np.arange(self.n, dtype=np.int64)
+        parent = list(range(self.n))
 
         def find(x: int) -> int:
             root = x
@@ -414,8 +429,8 @@ class Graph:
                 parent[x], x = root, parent[x]
             return root
 
-        for u, v in zip(self.edges_u, self.edges_v):
-            ru, rv = find(int(u)), find(int(v))
+        for u, v in zip(self.edges_u.tolist(), self.edges_v.tolist()):
+            ru, rv = find(u), find(v)
             if ru != rv:
                 parent[ru] = rv
         roots = np.array([find(i) for i in range(self.n)], dtype=np.int64)

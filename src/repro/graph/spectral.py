@@ -5,10 +5,12 @@ The spectral recursive-bisection decomposition builder
 initial-partition stage both need a cheap, dependable way to find
 low-conductance cuts.  We implement:
 
-* graph Laplacian / normalized Laplacian assembly (sparse),
-* a Fiedler-vector solver — our own shift-inverted power/Lanczos-lite
-  iteration with a deflation against the constant vector, falling back to
-  :func:`scipy.sparse.linalg.eigsh` for stubborn spectra, and
+* graph Laplacian / normalized Laplacian assembly (sparse; the
+  normalized one straight from the graph's CSR arrays),
+* a Fiedler-vector solver — a power iteration on ``2I − L`` deflated
+  against the kernel direction ``D^{1/2} 1``, falling back to
+  :func:`scipy.sparse.linalg.eigsh` from the last iterate when it has not
+  converged within its step budget, and
 * the classic *sweep cut* rounding that scans the sorted Fiedler
   embedding and takes the best conductance (or best balanced-cut)
   threshold, which carries Cheeger-style guarantees.
@@ -17,6 +19,7 @@ low-conductance cuts.  We implement:
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -47,32 +50,84 @@ def normalized_laplacian(g: Graph) -> sp.csr_matrix:
     """Symmetric normalized Laplacian ``I − D^{-1/2} A D^{-1/2}``.
 
     Isolated vertices get a zero row/column (their "eigenvalue" is 0,
-    which is correct: they are free to go anywhere).
+    which is correct: they are free to go anywhere).  The entries, their
+    order and the dropped zeros are those of scipy's expression
+    ``eye − d_half @ a @ d_half`` (see :func:`_normalized_laplacian_arrays`).
     """
-    a = g.to_scipy_sparse()
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    inv_sqrt = np.zeros_like(deg)
-    nz = deg > 0
-    inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    d_half = sp.diags(inv_sqrt)
-    eye = sp.diags(nz.astype(np.float64))
-    return (eye - d_half @ a @ d_half).tocsr()
+    indptr, indices, data = _normalized_laplacian_arrays(g)
+    return sp.csr_matrix((data, indices, indptr), shape=(g.n, g.n))
+
+
+def _normalized_laplacian_arrays(
+    g: Graph,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices, data)`` of the normalized Laplacian.
+
+    Built straight from the graph's CSR, entry for entry what scipy
+    leaves for ``eye − d_half @ a @ d_half``: degrees are the row
+    ``reduceat`` sums of ``a.sum(axis=1)`` (not :attr:`Graph.weighted_degrees`,
+    which sums in edge order), the off-diagonal entry of row ``i`` is
+    ``-((inv[i] * w) * inv[j])`` with ``inv = 1 / sqrt(deg)``, exact-zero
+    products are dropped, and each vertex with ``deg > 0`` gets a
+    diagonal ``1.0``.  The order matters because the matvec sums each
+    row in storage order: when every row of off-diagonals is sorted,
+    scipy's canonical subtraction keeps rows sorted with the diagonal in
+    place; otherwise its general one leaves each row reversed with the
+    diagonal last (``Graph`` rows list higher neighbours before lower
+    ones, so most graphs take this form).
+    """
+    n = g.n
+    indptr, indices, aw = g.indptr, g.indices, g.adj_weights
+    row_len = np.diff(indptr)
+    rows = np.flatnonzero(row_len)
+    deg = np.zeros(n)
+    if rows.size:
+        deg[rows] = np.add.reduceat(aw, indptr[rows])
+    has_diag = deg > 0
+    inv = np.zeros(n)
+    inv[has_diag] = 1.0 / np.sqrt(deg[has_diag])
+    owner = np.repeat(np.arange(n, dtype=np.int64), row_len)
+    off = -((inv[owner] * aw) * inv[indices])
+    keep = off != 0
+    owner, cols, off = owner[keep], indices[keep], off[keep]
+    diag = np.flatnonzero(has_diag)
+    k = off.size
+    if not np.any((cols[1:] <= cols[:-1]) & (owner[1:] == owner[:-1])):
+        key = np.concatenate([owner * n + cols, diag * (n + 1)])
+    else:
+        pos = np.arange(k - 1, -1, -1, dtype=np.int64)
+        key = np.concatenate([owner * (k + 1) + pos, diag * (k + 1) + k])
+    order = np.argsort(key)
+    lap_rows = np.concatenate([owner, diag])
+    lap_indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lap_rows, minlength=n), out=lap_indptr[1:])
+    lap_indices = np.concatenate([cols, diag])[order]
+    lap_data = np.concatenate([off, np.ones(diag.size)])[order]
+    return lap_indptr, lap_indices, lap_data
 
 
 def fiedler_vector(
     g: Graph,
-    normalized: bool = True,
     tol: float = 1e-8,
     max_iter: int = 2000,
     seed: SeedLike = None,
     use_cache: bool = True,
 ) -> np.ndarray:
-    """Eigenvector of the second-smallest Laplacian eigenvalue.
+    """Eigenvector of the second-smallest normalized-Laplacian eigenvalue.
 
-    Strategy: deflated power iteration on ``cI − L`` (which maps the
-    smallest eigenvalues of ``L`` to the largest of the iteration matrix),
-    orthogonalised against the known kernel direction each step.  If the
-    iteration stalls (tiny spectral gap) we defer to scipy's Lanczos.
+    Strategy: deflated power iteration on ``2I − L`` (which maps the
+    smallest eigenvalues of ``L`` to the largest of the iteration
+    matrix), orthogonalised against the kernel direction ``D^{1/2} 1``
+    each step.  If the iterates do not converge (successive distance
+    below ``tol``, up to sign) within ``max_iter`` steps, or vanish, the
+    last iterate is the ``v0`` of scipy's ``eigsh`` (shift-invert near
+    0).  A near-tie ``λ3 ≈ λ2`` stalls the iteration, which contracts the
+    ``λ3`` direction by ``(2 − λ3) / (2 − λ2)`` per step: on a square grid
+    with random weights the two lowest modes differ by ~10% (0.126 and
+    0.138 on a 5x5 grid, a 0.994 contraction), so the root split runs all
+    ``max_iter`` steps and then ``eigsh``.  Since ``eigsh``'s answer
+    depends on that ``v0``, the steps cannot be cut short without
+    changing the cut.
 
     Caching: the eigensolve is deterministic given the graph and the
     random start vector, so results are memoised in :mod:`repro.cache`
@@ -85,7 +140,6 @@ def fiedler_vector(
     Parameters
     ----------
     g: connected graph with ``n >= 2``.
-    normalized: use the normalized Laplacian (kernel ``D^{1/2} 1``).
     tol: convergence threshold on successive-iterate distance.
     max_iter: power-iteration budget before falling back to scipy.
     seed: seed for the random start vector.
@@ -100,57 +154,65 @@ def fiedler_vector(
 
         cache = get_cache()
         h = hashlib.blake2b(start.tobytes(), digest_size=16).hexdigest()
-        parts = (g.digest(), bool(normalized), float(tol), int(max_iter), h)
+        # ``True`` is the normalized-Laplacian flag of older keys, kept
+        # so entries already on disk still hit.
+        parts = (g.digest(), True, float(tol), int(max_iter), h)
         hit, value = cache.lookup("fiedler", parts)
         if hit:
             return value.copy()
-        result = _solve_fiedler(g, normalized, tol, max_iter, start)
+        result = _solve_fiedler(g, tol, max_iter, start)
         cache.store("fiedler", parts, result)
         return result.copy()
-    return _solve_fiedler(g, normalized, tol, max_iter, start)
+    return _solve_fiedler(g, tol, max_iter, start)
 
 
 def _solve_fiedler(
-    g: Graph, normalized: bool, tol: float, max_iter: int, start: np.ndarray
+    g: Graph, tol: float, max_iter: int, start: np.ndarray
 ) -> np.ndarray:
-    """The actual eigensolve, from a caller-supplied start vector."""
-    lap = normalized_laplacian(g) if normalized else laplacian(g)
-    n = g.n
-    if normalized:
-        deg = g.weighted_degrees.copy()
-        deg[deg <= 0] = 1.0
-        kernel = np.sqrt(deg)
-    else:
-        kernel = np.ones(n)
-    kernel /= np.linalg.norm(kernel)
+    """The actual eigensolve, from a caller-supplied start vector.
 
-    # Upper bound on eigenvalues: 2 for normalized, 2*max degree otherwise.
-    shift = 2.0 if normalized else 2.0 * float(g.weighted_degrees.max() or 1.0)
+    Norms are ``math.sqrt(v.dot(v))``, which is what ``np.linalg.norm``
+    computes for a real 1-D array, without its per-call overhead.
+    """
+    lap_indptr, lap_indices, lap_data = _normalized_laplacian_arrays(g)
+    n = g.n
+    deg = g.weighted_degrees.copy()
+    deg[deg <= 0] = 1.0
+    kernel = np.sqrt(deg)
+    kernel /= math.sqrt(kernel.dot(kernel))
+
     x = start.copy()
-    x -= kernel * (kernel @ x)
-    nrm = np.linalg.norm(x)
+    x -= kernel * kernel.dot(x)
+    nrm = math.sqrt(x.dot(x))
     if nrm == 0:  # pragma: no cover - probability zero
         x = np.ones(n)
         x[0] = -1.0
-        nrm = np.linalg.norm(x)
+        nrm = math.sqrt(x.dot(x))
     x /= nrm
     # The matvec dominates the iteration; dispatch it through the kernel
-    # seam over the raw CSR arrays (the python backend reproduces
-    # ``lap @ x`` exactly, so cached Fiedler digests are unaffected).
-    lap_indptr, lap_indices, lap_data = lap.indptr, lap.indices, lap.data
+    # seam over the raw CSR arrays (the python backend is scipy's own
+    # CSR routine, so cached Fiedler digests are unaffected).
+    matvec = kernels.csr_matvec
+    diff = np.empty(n)
     for _ in range(max_iter):
-        y = shift * x - kernels.csr_matvec(lap_indptr, lap_indices, lap_data, x)
-        y -= kernel * (kernel @ y)
-        nrm = np.linalg.norm(y)
+        y = 2.0 * x  # 2 bounds the normalized Laplacian's eigenvalues
+        y -= matvec(lap_indptr, lap_indices, lap_data, x)
+        y -= kernel * kernel.dot(y)
+        nrm = math.sqrt(y.dot(y))
         if nrm < 1e-14:
             break
         y /= nrm
-        if np.linalg.norm(y - x) < tol or np.linalg.norm(y + x) < tol:
+        np.subtract(y, x, out=diff)
+        if math.sqrt(diff.dot(diff)) < tol:
+            return y
+        np.add(y, x, out=diff)
+        if math.sqrt(diff.dot(diff)) < tol:
             return y
         x = y
     # Fallback: scipy Lanczos on the two smallest eigenpairs.  The start
     # vector is the last power iterate so the result stays deterministic
     # for a given seed.
+    lap = sp.csr_matrix((lap_data, lap_indices, lap_indptr), shape=(n, n))
     try:
         from scipy.sparse.linalg import eigsh
 
@@ -176,9 +238,11 @@ def sweep_cut(
     ``weights``-mass lies within ``[f, 1 − f]`` of the total are eligible —
     this is how the bisection callers enforce balance.
 
-    Runs in one vectorised pass: prefix cut weights are maintained by the
-    identity ``cut(prefix + v) = cut(prefix) + deg_w(v) − 2·w(v, prefix)``
-    accumulated over sorted adjacency, giving O(m + n log n) total.
+    Prefix cut weights follow the identity
+    ``cut(prefix + v) = cut(prefix) + deg_w(v) − 2·w(v, prefix)``, one
+    python-level step per vertex in sweep order (each touching that
+    vertex's CSR row once), then the scores are vectorised: O(m + n log n)
+    total.
     """
     emb = np.asarray(embedding, dtype=np.float64)
     if emb.shape != (g.n,):

@@ -1,13 +1,16 @@
 """The six hot-path kernels, bound once at import to the fastest backend.
 
-Profiling puts the remaining solve time in three pure-python/numpy hot
-loops: Dinic's level-BFS / blocking-flow DFS (:mod:`repro.flow.maxflow`,
-driven ``n − 1`` times per Gomory–Hu build), the RHGPT tiled merge +
-dominance prune (:mod:`repro.hgpt.dp`), and the spectral Laplacian
-matvec plus CSR heavy-edge matching feeding the multilevel front-end.
-Those loops sit behind a narrow ABI over flat ndarrays (each kernel's
-contract is documented on its :mod:`repro.kernels.python_backend`
-function):
+Four loops sit behind a narrow ABI over flat ndarrays: Dinic's
+level-BFS / blocking-flow DFS (:mod:`repro.flow.maxflow`, driven
+``n − 1`` times per Gomory–Hu build), the RHGPT tiled merge + dominance
+prune (:mod:`repro.hgpt.dp`), the Fiedler power iteration's Laplacian
+matvec (:mod:`repro.graph.spectral`; scipy's C CSR routine on the python
+backend) and the CSR heavy-edge matching feeding the multilevel
+front-end.  The embed layer's other loops — Stoer–Wagner
+(:mod:`repro.flow.mincut`), union–find and induced subgraphs
+(:class:`repro.graph.graph.Graph`) and the sweep cut — stay in their
+modules as python-list or whole-array code.  Each kernel's contract is
+documented on its :mod:`repro.kernels.python_backend` function:
 
 ``dinic_bfs_levels``
     Level-graph BFS over a paired-arc residual network.

@@ -1,11 +1,13 @@
 """Pure-python/numpy reference backend for the kernel ABI.
 
-The Dinic kernels and ``csr_matvec`` are the original hot loops
-*extracted* from :mod:`repro.flow.maxflow` and
-:mod:`repro.graph.spectral`.  ``heavy_edge_match`` (sort-free) and the
-two DP kernels from :mod:`repro.hgpt.dp` (whole-array masks in place of
-per-pair gathers and a per-row loop) are rewrites, each checked for
-exact equality against the original it replaced, kept in
+The Dinic kernels are the original hot loops *extracted* from
+:mod:`repro.flow.maxflow`.  ``csr_matvec`` (from
+:mod:`repro.graph.spectral`) calls scipy's CSR routine without the
+``csr_matrix`` wrapper, pinned bytewise against ``csr_matrix @ x`` in
+``tests/graph/test_embed_oracle.py``.  ``heavy_edge_match`` (sort-free)
+and the two DP kernels from :mod:`repro.hgpt.dp` (whole-array masks in
+place of per-pair gathers and a per-row loop) are rewrites, each checked
+for exact equality against the original it replaced, kept in
 ``tests/kernels/reference.py``.  They define the bit-exact contract
 every other backend must match (``tests/kernels/test_backends.py``), so
 changes here are semantic changes to the solver.
@@ -18,7 +20,7 @@ import math
 from typing import List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 __all__ = [
     "dinic_bfs_levels",
@@ -316,29 +318,28 @@ def dp_dominance_prune(
 # CSR matvec (from repro.graph.spectral's power iteration)
 # ----------------------------------------------------------------------
 
-#: One-slot wrapper cache: the power iteration multiplies the same
-#: Laplacian thousands of times, so rebuilding the scipy view per call
-#: would dominate.  Strong references to the arrays keep the id() key
-#: from being recycled while the entry lives.
-_MATVEC_CACHE: List[tuple] = []
-
 
 def csr_matvec(
     indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
-    """``y = A @ x`` for the CSR matrix ``(data, indices, indptr)``.
+    """``y = A @ x`` for the square CSR matrix ``(data, indices, indptr)``.
 
-    Mutates nothing.  Uses scipy's CSR kernel, so the arithmetic (and
-    accumulation order) is that of ``lap @ x``.
+    Mutates nothing.  Fills ``np.zeros(n)`` through scipy's CSR routine
+    ``_sparsetools.csr_matvec`` — what ``csr_matrix @ x`` runs under its
+    wrapper — so the arithmetic (each row summed in storage order) is
+    that of ``lap @ x``, without building a matrix object per call.  The
+    routine reads whatever the arrays claim, so their sizes are checked
+    here, as ``csr_matrix`` checks them (column ids are not scanned).
     """
-    key = (id(indptr), id(indices), id(data))
-    if _MATVEC_CACHE and _MATVEC_CACHE[0][0] == key:
-        mat = _MATVEC_CACHE[0][4]
-    else:
-        n = indptr.shape[0] - 1
-        mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-        _MATVEC_CACHE[:] = [(key, indptr, indices, data, mat)]
-    return mat @ x
+    n = indptr.shape[0] - 1
+    if x.shape != (n,) or indices.shape != data.shape or indptr[-1] > data.shape[0]:
+        raise ValueError(
+            f"inconsistent CSR arrays: indptr {indptr.shape}, indices "
+            f"{indices.shape}, data {data.shape}, x {x.shape}"
+        )
+    y = np.zeros(n)
+    _sparsetools.csr_matvec(n, n, indptr, indices, data, x, y)
+    return y
 
 
 # ----------------------------------------------------------------------

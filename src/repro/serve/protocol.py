@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -50,18 +50,29 @@ __all__ = [
     "request_cache_parts",
 ]
 
-#: ``SolverConfig`` fields a request's ``config`` block may override.
-#: A whitelist, not ``replace(**anything)``: server-side resources
-#: (``n_jobs``, cache sizing) stay under the operator's control no
-#: matter what a tenant sends.
-CONFIG_OVERRIDES = (
-    "seed",
-    "n_trees",
-    "beam_width",
-    "refine",
-    "refine_passes",
-    "slack",
-)
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: ``SolverConfig`` fields a request's ``config`` block may override,
+#: each with the JSON type its value must have (JSON ``true``/``false``
+#: are not numbers).  A whitelist, not ``replace(**anything)``:
+#: server-side resources (``n_jobs``, cache sizing) stay under the
+#: operator's control no matter what a tenant sends.  The types belong
+#: to the wire format, so they are checked here, at admission, and
+#: ``SolverConfig`` keeps its own range checks.
+CONFIG_OVERRIDES: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    "seed": (
+        "a non-negative integer or null",
+        lambda v: v is None or (_is_int(v) and v >= 0),
+    ),
+    "n_trees": ("an integer", _is_int),
+    "beam_width": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "refine": ("a boolean", lambda v: isinstance(v, bool)),
+    "refine_passes": ("an integer", _is_int),
+    "slack": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+}
 
 _REASONS = {
     200: "OK",
@@ -187,6 +198,9 @@ def parse_solve_request(
                 f"config.{key} is not an allowed override; choose from "
                 f"{sorted(CONFIG_OVERRIDES)}"
             )
+        kind, fits = CONFIG_OVERRIDES[key]
+        if not fits(value):
+            raise ProtocolError(f"config.{key} must be {kind}, got {value!r}")
         overrides[key] = value
 
     return SolveRequest(

@@ -70,6 +70,16 @@ class TestVerdict:
             perf_pairs.parse_seeds("5-4")
 
 
+def fake_trace_result(spec, seed, side, failed=0):
+    """Per-layer metrics as ``perfbench/run.py --trace 1`` reports them:
+    ``decomposition.spectral_s`` halves on the change, the rest stay."""
+    metrics = {m["name"]: {"value": 1.0 + seed / 100, "unit": m["unit"]} for m in spec["per_layer"]}
+    if side == "change":
+        metrics["decomposition.spectral_s"]["value"] /= 2
+    metrics["decomposition.cache_hit_frac"]["value"] = 0.0
+    return {"correct": not failed, "attempted": 5, "failed": failed, "metrics": metrics}
+
+
 def fake_result(value, cost=10.0):
     names = ["ops_per_s", "latency_p50_s", "eq1_cost", "cap_violation", "peak_rss_mib", "setup_s"]
     metrics = {n: {"value": value, "unit": "x"} for n in names}
@@ -110,7 +120,7 @@ class TestWorktree:
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         seen = []
 
-        def broken(root, workload, seed, seconds):
+        def broken(root, workload, seed, seconds, trace):
             seen.append(Path(root))
             assert (Path(root) / "BENCHMARK.json").is_file()
             raise RuntimeError("perfbench crashed")
@@ -129,7 +139,8 @@ class TestWorktree:
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         order = []
 
-        def runner(root, workload, seed, seconds):
+        def runner(root, workload, seed, seconds, trace):
+            assert trace == 0
             side = "change" if Path(root) == temp_repo else "base"
             order.append((seed, side))
             return fake_result(1.0 if side == "base" else 0.5)
@@ -154,7 +165,7 @@ class TestWorktree:
     def test_answer_drift_is_flagged(self, perf_pairs, temp_repo, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TMPDIR", str(tmp_path))
 
-        def runner(root, workload, seed, seconds):
+        def runner(root, workload, seed, seconds, trace):
             drift = seed == 2 and Path(root) == temp_repo
             return fake_result(1.0, cost=11.0 if drift else 10.0)
 
@@ -163,4 +174,61 @@ class TestWorktree:
             runner=runner, root=temp_repo,
         )
         assert "eq1_cost equal on every seed: NO (seeds 2)" in capsys.readouterr().out
+        assert rc == 1
+
+
+class TestTrace:
+    def test_per_layer_medians_without_a_verdict(
+        self, perf_pairs, temp_repo, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        spec = json.loads((temp_repo / "BENCHMARK.json").read_text())
+        order = []
+
+        def runner(root, workload, seed, seconds, trace):
+            side = "change" if Path(root) == temp_repo else "base"
+            order.append((seed, side, trace))
+            return fake_trace_result(spec, seed, side)
+
+        rc = perf_pairs.main(
+            ["--base", "HEAD", "--workload", "flat-cold", "--seeds", "1-3", "--trace", "1"],
+            runner=runner, root=temp_repo,
+        )
+        assert order == [
+            (1, "base", 1), (1, "change", 1), (2, "change", 1), (2, "base", 1),
+            (3, "base", 1), (3, "change", 1),
+        ]
+        out = capsys.readouterr().out
+        assert "--trace 1" in out
+        rows = {line.split()[0]: line for line in out.splitlines() if line.strip()}
+        for m in spec["per_layer"]:
+            assert m["name"] in rows
+        # Base median 1.02 [1.015, 1.025], change median 0.51: -50%.
+        spectral = rows["decomposition.spectral_s"].split()
+        assert spectral[2:5] == ["1.02", "[1.015,", "1.025]"]
+        assert spectral[5:] == ["0.51", "-50.0%"]
+        assert rows["hgpt.dp.busy_s"].split()[-1] == "+0.0%"
+        assert rows["decomposition.cache_hit_frac"].split()[-1] == "n/a"
+        assert "base: 0/15 ops failed, every run correct" in out
+        assert "change: 0/15 ops failed, every run correct" in out
+        # Diagnostics only: no wins, no gain/WORSE flags, no verdict line.
+        assert "gain" not in out and "WORSE" not in out and "verdict" not in out
+        assert rc == 0
+        assert len(worktrees(temp_repo)) == 1
+
+    def test_a_failed_traced_run_is_flagged(
+        self, perf_pairs, temp_repo, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        spec = json.loads((temp_repo / "BENCHMARK.json").read_text())
+
+        def runner(root, workload, seed, seconds, trace):
+            side = "change" if Path(root) == temp_repo else "base"
+            return fake_trace_result(spec, seed, side, failed=int(side == "change" and seed == 2))
+
+        rc = perf_pairs.main(
+            ["--base", "HEAD", "--workload", "flat-cold", "--seeds", "1-2", "--trace", "1"],
+            runner=runner, root=temp_repo,
+        )
+        assert "change: 1/10 ops failed, incorrect on seeds [2]" in capsys.readouterr().out
         assert rc == 1

@@ -15,7 +15,6 @@ import os
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 import urllib.request
 from pathlib import Path
@@ -105,16 +104,25 @@ def test_server_registers_and_unregisters_hook(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def _spool_files() -> set:
-    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-gen-*.pkl")))
+def _server_env(spool_dir: Path) -> dict:
+    """The server subprocess's environment: its pool spools (via
+    ``tempfile.mkstemp``) into ``spool_dir``, so the spool count sees
+    this server's files only, not another process's live spools."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    env["TMPDIR"] = str(spool_dir)
+    env.pop("REPRO_FAULT_SPEC", None)
+    return env
+
+
+def _spool_files(spool_dir: Path) -> set:
+    return set(glob.glob(os.path.join(spool_dir, "repro-gen-*.pkl")))
 
 
 @pytest.mark.slow
-def test_sigterm_during_inflight_solve_leaves_no_spool_orphans():
-    before = _spool_files()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("REPRO_FAULT_SPEC", None)
+def test_sigterm_during_inflight_solve_leaves_no_spool_orphans(tmp_path):
+    before = _spool_files(tmp_path)
+    env = _server_env(tmp_path)
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
@@ -158,16 +166,14 @@ def test_sigterm_during_inflight_solve_leaves_no_spool_orphans():
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30)
-    leaked = _spool_files() - before
+    leaked = _spool_files(tmp_path) - before
     assert not leaked, f"orphaned spool files after SIGTERM: {sorted(leaked)}"
 
 
 @pytest.mark.slow
-def test_sigterm_idle_server_exits_clean():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("REPRO_FAULT_SPEC", None)
-    before = _spool_files()
+def test_sigterm_idle_server_exits_clean(tmp_path):
+    env = _server_env(tmp_path)
+    before = _spool_files(tmp_path)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0"],
         env=env, stderr=subprocess.PIPE, text=True, cwd=str(REPO_ROOT),
@@ -180,4 +186,4 @@ def test_sigterm_idle_server_exits_clean():
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30)
-    assert not (_spool_files() - before)
+    assert not (_spool_files(tmp_path) - before)

@@ -129,6 +129,18 @@ def test_healthz_metrics_stats_and_404(server, payload):
         lambda p: p.__setitem__("deadline_s", "soon"),
         lambda p: p.__setitem__("config", {"n_trees": "4"}),
         lambda p: p.__setitem__("config", {"slack": "x"}),
+        # Overrides must have their JSON type: SolverConfig alone took
+        # these (or failed on them mid-solve with a 500).
+        lambda p: p.__setitem__("config", {"seed": "abc"}),
+        lambda p: p.__setitem__("config", {"seed": -1}),
+        lambda p: p.__setitem__("config", {"seed": True}),
+        lambda p: p.__setitem__("config", {"n_trees": 2.5}),
+        lambda p: p.__setitem__("config", {"n_trees": True}),
+        lambda p: p.__setitem__("config", {"beam_width": 2.5}),
+        lambda p: p.__setitem__("config", {"refine": "no"}),
+        lambda p: p.__setitem__("config", {"refine": 0}),
+        lambda p: p.__setitem__("config", {"refine_passes": 1.5}),
+        lambda p: p.__setitem__("config", {"slack": True}),
     ],
 )
 def test_invalid_request_is_400(server, payload, mutate):

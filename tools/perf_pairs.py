@@ -2,12 +2,15 @@
 """Paired speed verdicts: a base revision against the working tree.
 
 Checks ``--base`` out into a temporary ``git worktree`` and runs
-``perfbench/run.py --trace 0`` for each seed in ``--seeds``, once in the
+``perfbench/run.py --trace T`` for each seed in ``--seeds``, once in the
 base and once in the working tree, alternating which goes first (the
 base on odd seeds), so drift of the machine's speed hits both sides
-alike.  Then, for every end-to-end metric of ``BENCHMARK.json``, it
-prints each side's median [q1, q3], the change's wins (ties count for
-neither side; the direction comes from the metric's ``better``) and:
+alike.
+
+With ``--trace 0`` (the default), for every end-to-end metric of
+``BENCHMARK.json`` it prints each side's median [q1, q3], the change's
+wins (ties count for neither side; the direction comes from the
+metric's ``better``) and:
 
 * ``gain`` — the change won at least 9 of every 10 pairs and the gap
   between the medians exceeds the base's interquartile range;
@@ -15,13 +18,17 @@ neither side; the direction comes from the metric's ``better``) and:
   than the metric's ``bound``.
 
 It also says whether ``eq1_cost`` and ``cap_violation`` are equal on
-every seed and counts failed/attempted ops per side.  The worktree is
-removed when the tool ends, whatever happens; ``perfbench/`` and
-``BENCHMARK.json`` are read, never changed.
+every seed.  With ``--trace 1`` it prints, for every per-layer metric,
+the base median [q1, q3], the change median and the relative change:
+diagnostics of where the time went, so no verdict.  Either way it
+counts failed/attempted ops per side.  The worktree is removed when
+the tool ends, whatever happens; ``perfbench/`` and ``BENCHMARK.json``
+are read, never changed.
 
 Usage, from anywhere inside the checkout::
 
     python3 tools/perf_pairs.py --base HEAD~1 --workload deep-churn --seeds 11-20
+    python3 tools/perf_pairs.py --base HEAD~1 --workload flat-cold --seeds 21-23 --trace 1
 
 Exit code 0 when every run was correct and no metric is ``WORSE``,
 1 otherwise, 2 on bad arguments.
@@ -48,14 +55,14 @@ WIN_SHARE = 0.9
 ANSWER_METRICS = ("eq1_cost", "cap_violation")
 
 #: Runs one perfbench workload in a checkout: (root, workload, seed,
-#: seconds) -> the result object perfbench prints last.
-Runner = Callable[[Path, str, int, float], dict]
+#: seconds, trace) -> the result object perfbench prints last.
+Runner = Callable[[Path, str, int, float, int], dict]
 
 
-def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py --trace 0`` run in ``root``."""
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One ``perfbench/run.py --trace <trace>`` run in ``root``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload]
-    cmd += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    cmd += ["--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -111,7 +118,7 @@ def git(root: Path, *args: str) -> str:
 
 def run_pairs(
     root: Path, base_root: Path, workload: str, seeds: Sequence[int], seconds: float,
-    runner: Runner,
+    runner: Runner, trace: int = 0,
 ) -> Dict[int, Dict[str, dict]]:
     """Alternate the two sides over ``seeds``: the base first on odd seeds."""
     results: Dict[int, Dict[str, dict]] = {}
@@ -122,8 +129,33 @@ def run_pairs(
         results[seed] = {}
         for name, where in sides:
             print(f"seed {seed}: {name} ...", file=sys.stderr, flush=True)
-            results[seed][name] = runner(where, workload, seed, seconds)
+            results[seed][name] = runner(where, workload, seed, seconds, trace)
     return results
+
+
+def _values(results: Dict[int, Dict[str, dict]], side: str, name: str) -> List[float]:
+    return [results[s][side]["metrics"][name]["value"] for s in sorted(results)]
+
+
+def _relative(bmed: float, cmed: float) -> str:
+    return f"{(cmed - bmed) / bmed:+.1%}" if bmed else "n/a"
+
+
+def _run_lines(results: Dict[int, Dict[str, dict]]) -> Tuple[List[str], bool]:
+    """Failed/attempted ops and correctness per side, and whether any
+    run failed an op or a check."""
+    seeds = sorted(results)
+    lines, bad = [], False
+    for side in ("base", "change"):
+        failed = sum(results[s][side]["failed"] for s in seeds)
+        attempted = sum(results[s][side]["attempted"] for s in seeds)
+        incorrect = [s for s in seeds if not results[s][side]["correct"]]
+        bad |= bool(failed or incorrect)
+        lines.append(
+            f"{side}: {failed}/{attempted} ops failed"
+            + (f", incorrect on seeds {incorrect}" if incorrect else ", every run correct")
+        )
+    return lines, bad
 
 
 def report(spec: dict, results: Dict[int, Dict[str, dict]]) -> Tuple[List[str], bool]:
@@ -136,11 +168,9 @@ def report(spec: dict, results: Dict[int, Dict[str, dict]]) -> Tuple[List[str], 
     bad = False
     for m in spec["end_to_end"]:
         name = m["name"]
-        base = [results[s]["base"]["metrics"][name]["value"] for s in seeds]
-        change = [results[s]["change"]["metrics"][name]["value"] for s in seeds]
+        base, change = _values(results, "base", name), _values(results, "change", name)
         v = verdict(base, change, m["better"], m["bound"])
-        bmed, cmed = v["base"][0], v["change"][0]
-        rel = f"{(cmed - bmed) / bmed:+.1%}" if bmed else "n/a"
+        rel = _relative(v["base"][0], v["change"][0])
         flags = ["gain"] * v["gain"] + [f"WORSE (bound {m['bound']:.0%})"] * v["worse"]
         bad |= v["worse"]
         lines.append(
@@ -159,17 +189,31 @@ def report(spec: dict, results: Dict[int, Dict[str, dict]]) -> Tuple[List[str], 
             f"{name} equal on every seed: "
             + ("yes" if not differ else f"NO (seeds {', '.join(map(str, differ))})")
         )
-    for side in ("base", "change"):
-        failed = sum(results[s][side]["failed"] for s in seeds)
-        attempted = sum(results[s][side]["attempted"] for s in seeds)
-        incorrect = [s for s in seeds if not results[s][side]["correct"]]
-        bad |= bool(failed or incorrect)
-        lines.append(
-            f"{side}: {failed}/{attempted} ops failed"
-            + (f", incorrect on seeds {incorrect}" if incorrect else ", every run correct")
-        )
+    run_lines, failed = _run_lines(results)
+    bad |= failed
+    lines += run_lines
     lines.append("verdict: " + ("CHECK the flagged lines" if bad else "nothing worse"))
     return lines, bad
+
+
+def trace_report(spec: dict, results: Dict[int, Dict[str, dict]]) -> Tuple[List[str], bool]:
+    """The per-layer medians of ``--trace 1`` runs side by side, and
+    whether any run failed.  Per-layer numbers are diagnostics, so there
+    are no wins and no verdict."""
+    lines = [
+        f"{'metric':30s} {'better':6s} {'base median [q1, q3]':34s} "
+        f"{'change median':>13s} {'change':>8s}"
+    ]
+    for m in spec["per_layer"]:
+        name = m["name"]
+        bq1, bmed, bq3 = quartiles(_values(results, "base", name))
+        cmed = quartiles(_values(results, "change", name))[1]
+        lines.append(
+            f"{name:30s} {m['better']:6s} {'%.4g [%.4g, %.4g]' % (bmed, bq1, bq3):34s} "
+            f"{cmed:>13.4g} {_relative(bmed, cmed):>8s}"
+        )
+    run_lines, bad = _run_lines(results)
+    return lines + run_lines, bad
 
 
 def main(argv=None, runner: Runner = run_perfbench, root: Path = ROOT) -> int:
@@ -178,6 +222,10 @@ def main(argv=None, runner: Runner = run_perfbench, root: Path = ROOT) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="inclusive range A-B, e.g. 11-20")
     ap.add_argument("--seconds", type=float, default=16.0)
+    ap.add_argument(
+        "--trace", type=int, choices=(0, 1), default=0,
+        help="1: traced runs, per-layer medians side by side (no verdict)",
+    )
     args = ap.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -192,7 +240,9 @@ def main(argv=None, runner: Runner = run_perfbench, root: Path = ROOT) -> int:
     base_root = tmp / "base"
     try:
         git(root, "worktree", "add", "--detach", str(base_root), rev)
-        results = run_pairs(root, base_root, args.workload, seeds, args.seconds, runner)
+        results = run_pairs(
+            root, base_root, args.workload, seeds, args.seconds, runner, args.trace
+        )
     finally:
         subprocess.run(
             ["git", "worktree", "remove", "--force", str(base_root)],
@@ -202,8 +252,12 @@ def main(argv=None, runner: Runner = run_perfbench, root: Path = ROOT) -> int:
         subprocess.run(["git", "worktree", "prune"], cwd=root, capture_output=True)
     print(
         f"perf_pairs: {args.workload}, seeds {seeds[0]}-{seeds[-1]} ({len(seeds)} pairs, "
-        f"{args.seconds:g} s, --trace 0), base {rev[:12]} vs the working tree"
+        f"{args.seconds:g} s, --trace {args.trace}), base {rev[:12]} vs the working tree"
     )
+    if args.trace:
+        lines, bad = trace_report(spec, results)
+        print("\n".join(lines))
+        return 1 if bad else 0
     for seed in seeds:
         cells = [
             f"{m['name']} {results[seed]['base']['metrics'][m['name']]['value']:.4g}"
