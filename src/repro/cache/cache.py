@@ -35,10 +35,12 @@ to quantize/DP:
   cache effectiveness.
 
 Determinism contract: the cache stores *finished, immutable results* of
-deterministic builds (decomposition-tree ensembles, Gomory–Hu trees,
-Fiedler vectors keyed by their start vector).  A warm run therefore
-returns bit-for-bit the same values a cold run would recompute — the
-cache can change *when* work happens, never *what* is produced.
+deterministic builds that a later call reads back: decomposition-tree
+ensembles (``trees``), per-subtree DP tables (``subtree_tables``),
+Gomory–Hu trees (``gomory_hu``) and served response bodies
+(``serve_response``).  A warm run therefore returns bit-for-bit the same
+values a cold run would recompute — the cache can change *when* work
+happens, never *what* is produced.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import InvalidInputError
 from repro.testing.faults import maybe_inject
 
 
@@ -108,9 +111,12 @@ class CacheConfig:
     Attributes
     ----------
     enabled:
-        Whether engine runs under this config consult the cache at all
-        (``repro solve --no-cache`` sets this to ``False``).  Disabling
-        is per-run: it neither clears nor reconfigures the shared cache.
+        Whether engine runs under this config use the ``trees`` and
+        ``subtree_tables`` tiers.  A ``gomory_hu`` builder in the
+        ensemble still uses the process cache; ``repro solve
+        --no-cache`` sets this to ``False`` and also switches the
+        process cache off.  Disabling is per-run: it neither clears nor
+        reconfigures the shared cache.
     """
 
     enabled: bool = True
@@ -237,6 +243,24 @@ def seed_token(seed: Any) -> Optional[Tuple[Any, ...]]:
     return None
 
 
+def _env_max_bytes() -> int:
+    """The memory budget ``REPRO_CACHE_MAX_BYTES`` asks for (default
+    :data:`DEFAULT_MAX_BYTES`); anything but a non-negative integer is
+    rejected by name."""
+    text = os.environ.get(ENV_MAX_BYTES)
+    if text is None:
+        return DEFAULT_MAX_BYTES
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InvalidInputError(
+            f"{ENV_MAX_BYTES} must be a non-negative integer, got {text!r}"
+        )
+    return value
+
+
 def estimate_nbytes(value: Any) -> int:
     """Size of ``value`` for budget accounting (its pickled length)."""
     return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
@@ -254,10 +278,11 @@ class SolverCache:
     ----------
     max_bytes:
         In-memory byte budget (``None`` = ``REPRO_CACHE_MAX_BYTES`` env
-        or :data:`DEFAULT_MAX_BYTES`).  Entries are evicted LRU-first
-        whenever the accounted total exceeds the budget; an entry larger
-        than the whole budget is never memory-resident (it still reaches
-        the disk tier).
+        or :data:`DEFAULT_MAX_BYTES`), a non-negative integer; 0 keeps
+        nothing in memory (disk tier only).  Entries are evicted
+        LRU-first whenever the accounted total exceeds the budget; an
+        entry larger than the whole budget is never memory-resident (it
+        still reaches the disk tier).
     disk_dir:
         Disk-tier directory (``None`` = ``REPRO_CACHE_DIR`` env; unset =
         memory only).
@@ -274,7 +299,9 @@ class SolverCache:
         enabled: Optional[bool] = None,
     ):
         if max_bytes is None:
-            max_bytes = int(os.environ.get(ENV_MAX_BYTES, DEFAULT_MAX_BYTES))
+            max_bytes = _env_max_bytes()
+        elif max_bytes < 0:
+            raise InvalidInputError(f"max_bytes must be >= 0, got {max_bytes}")
         if disk_dir is None:
             disk_dir = os.environ.get(ENV_DIR) or None
         if enabled is None:

@@ -453,8 +453,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
         if args.no_cache:
             # Disable the whole process cache, not just the engine's
-            # ensemble lookup — the inner builders (fiedler, gomory-hu)
-            # must not populate or consult it either.
+            # ``trees``/``subtree_tables`` use: a ``gomory_hu`` builder in
+            # the ensemble must not populate or consult it either.
             get_cache().enabled = False
         from repro.core.resilience import ResilienceConfig, RetryPolicy
         from repro.core.config import IncrementalConfig, MultilevelConfig

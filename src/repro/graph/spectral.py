@@ -1,7 +1,7 @@
 """Spectral toolbox: Laplacians, Fiedler vectors, sweep cuts.
 
 The spectral recursive-bisection decomposition builder
-(:mod:`repro.decomposition.spectral`) and the multilevel baseline's
+(:mod:`repro.decomposition.spectral_tree`) and the multilevel baseline's
 initial-partition stage both need a cheap, dependable way to find
 low-conductance cuts.  We implement:
 
@@ -18,7 +18,6 @@ low-conductance cuts.  We implement:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Optional, Tuple
 
@@ -111,7 +110,6 @@ def fiedler_vector(
     tol: float = 1e-8,
     max_iter: int = 2000,
     seed: SeedLike = None,
-    use_cache: bool = True,
 ) -> np.ndarray:
     """Eigenvector of the second-smallest normalized-Laplacian eigenvalue.
 
@@ -129,13 +127,8 @@ def fiedler_vector(
     depends on that ``v0``, the steps cannot be cut short without
     changing the cut.
 
-    Caching: the eigensolve is deterministic given the graph and the
-    random start vector, so results are memoised in :mod:`repro.cache`
-    (kind ``"fiedler"``) keyed by the graph digest, solver params, and a
-    hash of the drawn start vector.  The start vector is drawn from the
-    rng *before* the lookup, so a generator passed as ``seed`` consumes
-    exactly the same entropy on a hit as on a miss — callers sharing an
-    rng stream stay bit-for-bit deterministic either way.
+    The random start vector is one ``standard_normal(g.n)`` draw, so a
+    generator passed as ``seed`` advances by exactly that much.
 
     Parameters
     ----------
@@ -143,26 +136,11 @@ def fiedler_vector(
     tol: convergence threshold on successive-iterate distance.
     max_iter: power-iteration budget before falling back to scipy.
     seed: seed for the random start vector.
-    use_cache: consult the process cache before solving.
     """
     if g.n < 2:
         raise InvalidInputError("fiedler_vector needs n >= 2")
     rng = ensure_rng(seed)
     start = rng.standard_normal(g.n)
-    if use_cache:
-        from repro.cache import get_cache
-
-        cache = get_cache()
-        h = hashlib.blake2b(start.tobytes(), digest_size=16).hexdigest()
-        # ``True`` is the normalized-Laplacian flag of older keys, kept
-        # so entries already on disk still hit.
-        parts = (g.digest(), True, float(tol), int(max_iter), h)
-        hit, value = cache.lookup("fiedler", parts)
-        if hit:
-            return value.copy()
-        result = _solve_fiedler(g, tol, max_iter, start)
-        cache.store("fiedler", parts, result)
-        return result.copy()
     return _solve_fiedler(g, tol, max_iter, start)
 
 
@@ -191,7 +169,7 @@ def _solve_fiedler(
     x /= nrm
     # The matvec dominates the iteration; dispatch it through the kernel
     # seam over the raw CSR arrays (the python backend is scipy's own
-    # CSR routine, so cached Fiedler digests are unaffected).
+    # CSR routine, so the vectors match a ``csr_matrix @ x`` iteration).
     matvec = kernels.csr_matvec
     diff = np.empty(n)
     for _ in range(max_iter):

@@ -29,11 +29,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.baselines.fm import HierarchyRefineStats, fm_refine_hierarchy
-from repro.cache import get_cache, seed_token
 from repro.core.config import MultilevelConfig, SolverConfig
 from repro.core.engine import (
     EngineResult,
-    incremental_enabled,
     persist_report,
     run_pipeline,
     validate_instance,
@@ -132,53 +130,17 @@ def solve_multilevel(
         "repro_multilevel_runs_total", "Multilevel front-end solves started."
     ).inc()
 
-    # Incremental runs add a content-addressed ``coarsening`` cache tier:
-    # the full level stack is keyed by graph digest + demands + every
-    # coarsening knob, so a reoptimize on an unchanged graph (or one
-    # revisited during churn) skips re-coarsening outright.  After a
-    # local delta the digest changes and coarsening reruns — the dirty
-    # region then resolves at the *coarse solve* instead, whose DP memo
-    # reloads every coarse subtree the delta left clean.  Cached level
-    # stacks are immutable build outputs, so warm and cold runs project
-    # identical placements.
-    coarsen_cache = None
-    coarsen_parts = None
-    if incremental_enabled(config):
-        seed_parts = seed_token(config.seed)
-        if seed_parts is not None:
-            coarsen_cache = get_cache()
-            coarsen_parts = (
-                g.digest(),
-                d,
-                int(ml.coarsen_to),
-                float(hierarchy.leaf_capacity),
-                seed_parts,
-                int(ml.max_levels),
-                float(ml.stall_ratio),
-                int(ml.match_rounds),
-            )
     with tel.span("coarsen"):
-        levels = None
-        if coarsen_cache is not None:
-            hit, levels = coarsen_cache.lookup("coarsening", coarsen_parts)
-            if hit and isinstance(levels, CoarseningHierarchy):
-                tel.counter("coarsen_cache_hits", 1)
-            else:
-                levels = None
-        if levels is None:
-            levels = coarsen_graph(
-                g,
-                d,
-                target_n=ml.coarsen_to,
-                max_weight=hierarchy.leaf_capacity,
-                rng=config.seed,
-                max_levels=ml.max_levels,
-                stall_ratio=ml.stall_ratio,
-                rounds=ml.match_rounds,
-            )
-            if coarsen_cache is not None:
-                coarsen_cache.store("coarsening", coarsen_parts, levels)
-                tel.counter("coarsen_cache_misses", 1)
+        levels = coarsen_graph(
+            g,
+            d,
+            target_n=ml.coarsen_to,
+            max_weight=hierarchy.leaf_capacity,
+            rng=config.seed,
+            max_levels=ml.max_levels,
+            stall_ratio=ml.stall_ratio,
+            rounds=ml.match_rounds,
+        )
         st = levels.stats
         tel.counter("levels", st.levels)
         tel.counter("coarsest_n", st.n_coarsest)

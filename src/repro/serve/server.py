@@ -243,7 +243,13 @@ class PlacementServer:
     # ------------------------------------------------------------------
 
     def start(self) -> "PlacementServer":
-        """Bind, start the IO loop and dispatcher threads (idempotent)."""
+        """Bind, start the IO loop and dispatcher threads (idempotent).
+
+        The process cache is built first, so a malformed
+        ``REPRO_CACHE_MAX_BYTES`` fails here with
+        :class:`repro.errors.InvalidInputError` instead of in every solve.
+        """
+        get_cache()
         with self._lock:
             if self._started:
                 return self

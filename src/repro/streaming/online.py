@@ -247,15 +247,21 @@ class OnlinePlacer:
         """
         if task in self._demand:
             raise InvalidInputError(f"task {task} is already live")
-        if demand <= 0 or demand > self.hierarchy.leaf_capacity * self.max_violation:
+        if (
+            not np.isfinite(demand)
+            or demand <= 0
+            or demand > self.hierarchy.leaf_capacity * self.max_violation
+        ):
             raise InvalidInputError(f"task {task}: bad demand {demand}")
         cm = np.asarray(self.hierarchy.cm)
         k = self.hierarchy.k
         inc = np.zeros(k)
         live_edges: Dict[int, float] = {}
         for other, w in edges:
-            if w <= 0:
-                raise InvalidInputError(f"edge to {other}: weight must be > 0")
+            if w <= 0 or not np.isfinite(w):
+                raise InvalidInputError(
+                    f"edge to {other}: weight must be finite and > 0, got {w}"
+                )
             if other in self._leaf:
                 live_edges[other] = live_edges.get(other, 0.0) + w
         for other, w in live_edges.items():

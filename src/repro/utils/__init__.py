@@ -1,4 +1,4 @@
-"""Shared utilities: seeded randomness and validation helpers.
+"""Shared utilities: seeded randomness.
 
 Timing lives in the telemetry span tree (:mod:`repro.core.telemetry`).
 
@@ -7,18 +7,8 @@ from here, but :mod:`repro.utils` imports nothing else from :mod:`repro`.
 """
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.validation import (
-    check_in_range,
-    check_nonnegative,
-    check_positive,
-    check_probability,
-)
 
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "check_in_range",
-    "check_nonnegative",
-    "check_positive",
-    "check_probability",
 ]

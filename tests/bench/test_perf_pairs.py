@@ -232,3 +232,70 @@ class TestTrace:
         )
         assert "change: 1/10 ops failed, incorrect on seeds [2]" in capsys.readouterr().out
         assert rc == 1
+
+
+class TestWorkloadList:
+    def test_each_workload_in_turn_under_its_name(
+        self, perf_pairs, temp_repo, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        order = []
+
+        def runner(root, workload, seed, seconds, trace):
+            side = "change" if Path(root) == temp_repo else "base"
+            order.append((workload, seed, side))
+            # Only serve-dup's change drifts on seed 2.
+            drift = workload == "serve-dup" and seed == 2 and side == "change"
+            return fake_result(1.0, cost=11.0 if drift else 10.0)
+
+        rc = perf_pairs.main(
+            ["--base", "HEAD", "--workload", "deep-churn, serve-dup", "--seeds", "1-2"],
+            runner=runner, root=temp_repo,
+        )
+        assert order == [
+            ("deep-churn", 1, "base"), ("deep-churn", 1, "change"),
+            ("deep-churn", 2, "change"), ("deep-churn", 2, "base"),
+            ("serve-dup", 1, "base"), ("serve-dup", 1, "change"),
+            ("serve-dup", 2, "change"), ("serve-dup", 2, "base"),
+        ]
+        out = capsys.readouterr().out
+        churn, dup = out.split("perf_pairs: serve-dup, seeds 1-2")
+        assert churn.startswith("perf_pairs: deep-churn, seeds 1-2 (2 pairs")
+        assert "eq1_cost equal on every seed: yes" in churn
+        assert "verdict: nothing worse" in churn
+        assert "eq1_cost equal on every seed: NO (seeds 2)" in dup
+        assert "verdict: CHECK the flagged lines" in dup
+        assert rc == 1  # one flagged workload flags the command
+        assert len(worktrees(temp_repo)) == 1
+
+    def test_traced_tables_under_each_name(
+        self, perf_pairs, temp_repo, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        spec = json.loads((temp_repo / "BENCHMARK.json").read_text())
+
+        def runner(root, workload, seed, seconds, trace):
+            side = "change" if Path(root) == temp_repo else "base"
+            return fake_trace_result(spec, seed, side)
+
+        rc = perf_pairs.main(
+            ["--base", "HEAD", "--workload", "flat-cold,large-multilevel", "--seeds", "1-2",
+             "--trace", "1"],
+            runner=runner, root=temp_repo,
+        )
+        out = capsys.readouterr().out
+        flat, large = out.split("perf_pairs: large-multilevel")
+        for section in (flat, large):
+            assert "decomposition.spectral_s" in section
+            assert "change: 0/10 ops failed, every run correct" in section
+        assert flat.startswith("perf_pairs: flat-cold")
+        assert rc == 0
+
+    def test_an_empty_list_is_a_usage_error(self, perf_pairs, temp_repo, capsys):
+        with pytest.raises(SystemExit) as exc:
+            perf_pairs.main(
+                ["--base", "HEAD", "--workload", " , ", "--seeds", "1-2"],
+                runner=None, root=temp_repo,
+            )
+        assert exc.value.code == 2
+        assert "names no workload" in capsys.readouterr().err

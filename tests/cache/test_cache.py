@@ -13,7 +13,12 @@ from repro.cache import (
     get_cache,
     seed_token,
 )
-from repro.graph.generators import planted_partition
+from repro.core.config import MultilevelConfig, SolverConfig
+from repro.core.engine import run_pipeline
+from repro.core.solver import solve_hgp
+from repro.errors import InvalidInputError
+from repro.graph.generators import grid_2d, planted_partition, random_demands
+from repro.hierarchy.hierarchy import Hierarchy
 from repro.obs.metrics import get_registry
 
 
@@ -23,7 +28,7 @@ class TestCacheKey:
         assert cache_key("trees", parts) == cache_key("trees", parts)
 
     def test_kind_separates_namespaces(self):
-        assert cache_key("trees", (1,)) != cache_key("fiedler", (1,))
+        assert cache_key("trees", (1,)) != cache_key("gomory_hu", (1,))
 
     def test_value_sensitivity(self):
         assert cache_key("k", (1, 2)) != cache_key("k", (2, 1))
@@ -261,6 +266,52 @@ class TestConfigPlumbing:
         cache = get_cache()
         assert cache.max_bytes == 1234
         assert get_cache() is cache
+
+    @pytest.mark.parametrize("text", ["abc", "-5", "1.5", "1e6", ""])
+    def test_malformed_env_max_bytes_rejected_by_name(self, monkeypatch, text):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", text)
+        with pytest.raises(InvalidInputError, match="REPRO_CACHE_MAX_BYTES"):
+            SolverCache()
+        with pytest.raises(InvalidInputError, match="REPRO_CACHE_MAX_BYTES"):
+            get_cache()
+
+    def test_negative_max_bytes_rejected(self):
+        with pytest.raises(InvalidInputError, match="max_bytes"):
+            SolverCache(max_bytes=-1)
+        with pytest.raises(InvalidInputError, match="max_bytes"):
+            configure_cache(max_bytes=-1)
+
+    def test_zero_max_bytes_keeps_the_disk_tier_only(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "0")
+        cache = SolverCache(disk_dir=str(tmp_path / "d"))
+        assert cache.max_bytes == 0
+        cache.store("trees", (1,), [1, 2, 3])
+        assert len(cache) == 0
+        assert cache.disk_stats()["files"] == 1
+        assert cache.lookup("trees", (1,)) == (True, [1, 2, 3])
+
+
+class TestKindsRead:
+    """The cache keeps only results a later call reads back."""
+
+    def test_uncached_run_never_touches_the_process_cache(self):
+        g = planted_partition(4, 6, 0.9, 0.05, seed=11)
+        hier = Hierarchy([2, 4], [10.0, 3.0, 0.0])
+        d = random_demands(g.n, hier.total_capacity, fill=0.6, skew=0.3, seed=12)
+        run_pipeline(g, hier, d, SolverConfig(seed=0, cache=CacheConfig(enabled=False)))
+        stats = get_cache().stats
+        assert (stats.lookups, stats.stores) == (0, 0)
+
+    def test_default_solves_use_only_trees_and_subtree_tables(self):
+        hier = Hierarchy([2, 4], [10.0, 3.0, 0.0], leaf_capacity=60.0)
+        g = grid_2d(14, 14, weight_range=(0.5, 2.0), seed=1)
+        d = random_demands(g.n, hier.total_capacity, fill=0.6, skew=0.3, seed=2)
+        flat = planted_partition(4, 6, 0.9, 0.05, seed=11)
+        d_flat = random_demands(flat.n, hier.total_capacity, fill=0.6, skew=0.3, seed=12)
+        solve_hgp(flat, hier, d_flat, SolverConfig())
+        ml = solve_hgp(g, hier, d, SolverConfig(multilevel=MultilevelConfig(enabled=True)))
+        assert ml.levels.stats.levels >= 1
+        assert set(get_cache().stats.by_kind) == {"trees", "subtree_tables"}
 
 
 class TestMetricsWiring:

@@ -13,7 +13,6 @@ from repro.cache import CacheConfig, configure_cache, get_cache
 from repro.decomposition.racke import racke_ensemble
 from repro.flow.gomory_hu import gomory_hu_tree
 from repro.graph.generators import planted_partition, random_demands
-from repro.graph.spectral import fiedler_vector
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.streaming.online import OnlinePlacer
 
@@ -127,21 +126,6 @@ class TestBuilderCaching:
         p2[0] = 99  # mutating a hit must not poison the cache
         p3, _ = gomory_hu_tree(g)
         assert p3[0] == p1[0]
-
-    def test_fiedler_preserves_rng_stream_on_hit(self, instance):
-        g, _, _ = instance
-        # Cold pass: one shared generator across two calls.
-        rng_cold = np.random.default_rng(123)
-        cold_a = fiedler_vector(g, seed=rng_cold)
-        cold_after = rng_cold.standard_normal(3)
-        # Warm pass: the same generator sequence must consume identical
-        # entropy even though the eigensolve itself is skipped.
-        rng_warm = np.random.default_rng(123)
-        warm_a = fiedler_vector(g, seed=rng_warm)
-        warm_after = rng_warm.standard_normal(3)
-        assert np.array_equal(cold_a, warm_a)
-        assert np.array_equal(cold_after, warm_after)
-        assert get_cache().stats.by_kind["fiedler"]["hits"] == 1
 
 
 class TestStreamingColdVsWarm:

@@ -373,6 +373,28 @@ class TestCacheCommands:
         assert "trees" in out
         assert "subtree_tables" in out
 
+    def test_malformed_cache_budget_exits_2(self, graph_file, capsys, monkeypatch):
+        path, _g = graph_file
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "abc")
+        assert main(self._solve_args(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_CACHE_MAX_BYTES ")
+        assert "Traceback" not in err
+
+    def test_serve_malformed_cache_budget_exits_2(self, capsys, monkeypatch):
+        import socket
+
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "-5")
+        # A taken port: were the cache not built before the bind, serve
+        # would still fail, but on the port, not on the variable.
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            rc = main(["serve", "--port", str(port), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: REPRO_CACHE_MAX_BYTES ")
+
     def test_no_incremental_flag_skips_memo(self, graph_file, capsys):
         path, _g = graph_file
         assert main(self._solve_args(path) + ["--no-incremental"]) == 0

@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 import repro.decomposition.mincut_split as mincut_split
 import repro.graph.spectral as spectral
 from repro.bench.instances import FAMILIES
-from repro.cache import configure_cache, reset_cache
 from repro.decomposition import BUILDERS
 from repro.flow.mincut import stoer_wagner
 from repro.graph.generators import grid_2d
@@ -319,13 +318,6 @@ class TestSubgraph:
         assert _same_bytes(sub.weighted_degrees, ref_sub.weighted_degrees)
 
 
-@pytest.fixture
-def no_cache():
-    configure_cache(enabled=False)
-    yield
-    reset_cache()
-
-
 def _patch_references(monkeypatch) -> None:
     monkeypatch.setattr(
         spectral,
@@ -338,7 +330,7 @@ def _patch_references(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("family,n", [("blocks", 32), ("powerlaw", 28), ("grid", 25), ("dag", 30)])
-def test_whole_trees_unchanged(family, n, no_cache, monkeypatch):
+def test_whole_trees_unchanged(family, n, monkeypatch):
     g = FAMILIES[family](n, 3)
     trees = {name: BUILDERS[name](g, seed=7) for name in sorted(BUILDERS)}
     with monkeypatch.context() as m:

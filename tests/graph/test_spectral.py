@@ -70,6 +70,17 @@ class TestFiedler:
         with pytest.raises(InvalidInputError):
             fiedler_vector(Graph(1, []))
 
+    def test_generator_advances_by_one_start_vector(self, grid44):
+        # Callers sharing a generator (the tree builders) see the stream
+        # exactly where one ``standard_normal(n)`` draw leaves it.
+        rng = np.random.default_rng(123)
+        fiedler_vector(grid44, seed=rng)
+        fiedler_vector(grid44, seed=rng)
+        ref = np.random.default_rng(123)
+        ref.standard_normal(grid44.n)
+        ref.standard_normal(grid44.n)
+        assert np.array_equal(rng.standard_normal(3), ref.standard_normal(3))
+
 
 class TestSweepCut:
     def test_finds_planted_cut(self):

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from repro.core.engine import run_pipeline
+from repro.errors import InvalidInputError
 from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
-from repro.serve import PlacementClient
+from repro.serve import PlacementClient, PlacementServer, ServeConfig
 from repro.serve.protocol import parse_solve_request, request_cache_key
 
 from .conftest import make_payload, start_server, tiny_solver
@@ -99,6 +100,16 @@ def test_healthz_metrics_stats_and_404(server, payload):
 
     assert client.request("GET", "/nope").status == 404
     assert client.request("POST", "/healthz").status == 404
+
+
+def test_malformed_cache_budget_fails_at_start(clean_env, monkeypatch):
+    # The process cache is built before the bind, so a bad budget stops
+    # the server instead of failing every solve it would admit.
+    monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "abc")
+    srv = PlacementServer(ServeConfig(port=0, solver=tiny_solver()))
+    with pytest.raises(InvalidInputError, match="REPRO_CACHE_MAX_BYTES"):
+        srv.start()
+    assert srv._loop_thread is None and srv._dispatcher is None
 
 
 # ----------------------------------------------------------------------

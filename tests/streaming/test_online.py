@@ -59,6 +59,29 @@ class TestOnlinePlacer:
         with pytest.raises(InvalidInputError):
             placer.arrive(1, 5.0)
 
+    @pytest.mark.parametrize(
+        "demand,edges",
+        [
+            (float("nan"), ((0, 1.0),)),
+            (0.4, ((0, float("nan")), (1, float("inf")))),
+            (0.4, ((1, float("inf")),)),
+            (0.4, ((0, 1.0), (1, float("nan")))),
+        ],
+    )
+    def test_non_finite_arrival_rejected_without_state_change(
+        self, placer, demand, edges
+    ):
+        placer.arrive(0, 0.5)
+        placer.arrive(1, 0.3, edges=((0, 2.0),))
+        loads, dirty = placer._loads.copy(), set(placer._dirty)
+        with pytest.raises(InvalidInputError):
+            placer.arrive(2, demand, edges)
+        assert placer.n_tasks == 2
+        assert np.array_equal(placer._loads, loads)
+        assert placer._dirty == dirty
+        placer.reoptimize()
+        assert np.isfinite(placer.cost())
+
     def test_depart_frees_load(self, placer):
         placer.arrive(0, 0.4)
         leaf = placer.leaf_of(0)

@@ -1,16 +1,9 @@
-"""Tests for RNG plumbing and validation helpers."""
+"""Tests for RNG plumbing."""
 
 import numpy as np
 import pytest
 
 from repro.utils.rng import ensure_rng, spawn_rngs
-from repro.utils.validation import (
-    check_all_finite,
-    check_in_range,
-    check_nonnegative,
-    check_positive,
-    check_probability,
-)
 
 
 class TestRng:
@@ -43,30 +36,3 @@ class TestRng:
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
 
-
-class TestValidation:
-    def test_positive(self):
-        assert check_positive("x", 1.5) == 1.5
-        for bad in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                check_positive("x", bad)
-
-    def test_nonnegative(self):
-        assert check_nonnegative("x", 0.0) == 0.0
-        with pytest.raises(ValueError):
-            check_nonnegative("x", -0.1)
-
-    def test_probability(self):
-        assert check_probability("p", 0.5) == 0.5
-        with pytest.raises(ValueError):
-            check_probability("p", 1.5)
-
-    def test_in_range(self):
-        assert check_in_range("x", 2.0, 1.0, 3.0) == 2.0
-        with pytest.raises(ValueError):
-            check_in_range("x", 0.0, 1.0, 3.0)
-
-    def test_all_finite(self):
-        check_all_finite("v", [1.0, 2.0])
-        with pytest.raises(ValueError):
-            check_all_finite("v", [1.0, float("nan")])

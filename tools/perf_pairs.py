@@ -5,7 +5,9 @@ Checks ``--base`` out into a temporary ``git worktree`` and runs
 ``perfbench/run.py --trace T`` for each seed in ``--seeds``, once in the
 base and once in the working tree, alternating which goes first (the
 base on odd seeds), so drift of the machine's speed hits both sides
-alike.
+alike.  ``--workload`` takes one name or a comma-separated list; the
+workloads run one after another, each over every seed, and each gets
+its own table under its name.
 
 With ``--trace 0`` (the default), for every end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median [q1, q3], the change's
@@ -29,9 +31,10 @@ Usage, from anywhere inside the checkout::
 
     python3 tools/perf_pairs.py --base HEAD~1 --workload deep-churn --seeds 11-20
     python3 tools/perf_pairs.py --base HEAD~1 --workload flat-cold --seeds 21-23 --trace 1
+    python3 tools/perf_pairs.py --base HEAD~1 --workload flat-cold,serve-dup --seeds 11-15
 
-Exit code 0 when every run was correct and no metric is ``WORSE``,
-1 otherwise, 2 on bad arguments.
+Exit code 0 when every run of every workload was correct and no metric
+is ``WORSE``, 1 otherwise, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -216,10 +219,32 @@ def trace_report(spec: dict, results: Dict[int, Dict[str, dict]]) -> Tuple[List[
     return lines + run_lines, bad
 
 
+def print_table(spec: dict, results: Dict[int, Dict[str, dict]], trace: int) -> bool:
+    """Print one workload's per-seed values and verdict table (or, with
+    ``trace``, its per-layer table); whether any line is flagged."""
+    if trace:
+        lines, bad = trace_report(spec, results)
+        print("\n".join(lines))
+        return bad
+    for seed in sorted(results):
+        cells = [
+            f"{m['name']} {results[seed]['base']['metrics'][m['name']]['value']:.4g}"
+            f"/{results[seed]['change']['metrics'][m['name']]['value']:.4g}"
+            for m in spec["end_to_end"]
+        ]
+        first = "base" if seed % 2 else "change"
+        print(f"  seed {seed} ({first} first), base/change: " + ", ".join(cells))
+    lines, bad = report(spec, results)
+    print("\n".join(lines))
+    return bad
+
+
 def main(argv=None, runner: Runner = run_perfbench, root: Path = ROOT) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument(
+        "--workload", required=True, help="a workload, or a comma-separated list of them"
+    )
     ap.add_argument("--seeds", required=True, help="inclusive range A-B, e.g. 11-20")
     ap.add_argument("--seconds", type=float, default=16.0)
     ap.add_argument(
@@ -227,6 +252,9 @@ def main(argv=None, runner: Runner = run_perfbench, root: Path = ROOT) -> int:
         help="1: traced runs, per-layer medians side by side (no verdict)",
     )
     args = ap.parse_args(argv)
+    workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
+    if not workloads:
+        ap.error("--workload names no workload")
     try:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
@@ -240,9 +268,10 @@ def main(argv=None, runner: Runner = run_perfbench, root: Path = ROOT) -> int:
     base_root = tmp / "base"
     try:
         git(root, "worktree", "add", "--detach", str(base_root), rev)
-        results = run_pairs(
-            root, base_root, args.workload, seeds, args.seconds, runner, args.trace
-        )
+        results = {
+            w: run_pairs(root, base_root, w, seeds, args.seconds, runner, args.trace)
+            for w in workloads
+        }
     finally:
         subprocess.run(
             ["git", "worktree", "remove", "--force", str(base_root)],
@@ -250,24 +279,15 @@ def main(argv=None, runner: Runner = run_perfbench, root: Path = ROOT) -> int:
         )
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=root, capture_output=True)
-    print(
-        f"perf_pairs: {args.workload}, seeds {seeds[0]}-{seeds[-1]} ({len(seeds)} pairs, "
-        f"{args.seconds:g} s, --trace {args.trace}), base {rev[:12]} vs the working tree"
-    )
-    if args.trace:
-        lines, bad = trace_report(spec, results)
-        print("\n".join(lines))
-        return 1 if bad else 0
-    for seed in seeds:
-        cells = [
-            f"{m['name']} {results[seed]['base']['metrics'][m['name']]['value']:.4g}"
-            f"/{results[seed]['change']['metrics'][m['name']]['value']:.4g}"
-            for m in spec["end_to_end"]
-        ]
-        first = "base" if seed % 2 else "change"
-        print(f"  seed {seed} ({first} first), base/change: " + ", ".join(cells))
-    lines, bad = report(spec, results)
-    print("\n".join(lines))
+    bad = False
+    for i, (workload, res) in enumerate(results.items()):
+        if i:
+            print()
+        print(
+            f"perf_pairs: {workload}, seeds {seeds[0]}-{seeds[-1]} ({len(seeds)} pairs, "
+            f"{args.seconds:g} s, --trace {args.trace}), base {rev[:12]} vs the working tree"
+        )
+        bad |= print_table(spec, res, args.trace)
     return 1 if bad else 0
 
 
