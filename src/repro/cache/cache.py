@@ -261,6 +261,24 @@ def _env_max_bytes() -> int:
     return value
 
 
+def _env_disabled() -> bool:
+    """Whether ``REPRO_CACHE_DISABLE`` switches the cache off.
+
+    Read case-insensitively: ``1``, ``true``, ``yes`` and ``on`` switch
+    it off; unset, empty, ``0``, ``false``, ``no`` and ``off`` leave it
+    on; anything else is rejected by name.
+    """
+    text = os.environ.get(ENV_DISABLE, "")
+    value = text.lower()
+    if value in ("1", "true", "yes", "on"):
+        return True
+    if value in ("", "0", "false", "no", "off"):
+        return False
+    raise InvalidInputError(
+        f"{ENV_DISABLE} must be one of 1/true/yes/on or 0/false/no/off, got {text!r}"
+    )
+
+
 def estimate_nbytes(value: Any) -> int:
     """Size of ``value`` for budget accounting (its pickled length)."""
     return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
@@ -287,9 +305,9 @@ class SolverCache:
         Disk-tier directory (``None`` = ``REPRO_CACHE_DIR`` env; unset =
         memory only).
     enabled:
-        Master switch (``REPRO_CACHE_DISABLE=1`` turns the default cache
-        off); a disabled cache reports every lookup as a miss and drops
-        every store.
+        Master switch (``None`` = on unless ``REPRO_CACHE_DISABLE`` is
+        ``1``/``true``/``yes``/``on``, in any case); a disabled cache
+        reports every lookup as a miss and drops every store.
     """
 
     def __init__(
@@ -305,7 +323,7 @@ class SolverCache:
         if disk_dir is None:
             disk_dir = os.environ.get(ENV_DIR) or None
         if enabled is None:
-            enabled = os.environ.get(ENV_DISABLE, "") not in ("1", "true", "yes")
+            enabled = not _env_disabled()
         self.max_bytes = int(max_bytes)
         self.disk_dir: Optional[Path] = Path(disk_dir) if disk_dir else None
         self.enabled = bool(enabled)
@@ -560,8 +578,10 @@ class SolverCache:
         try:
             with open(path, "rb") as fh:
                 return pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            # Corrupt or stale entry: drop it and treat as a miss.
+        except Exception:
+            # Corrupt or stale entry: drop it and treat as a miss.  A
+            # damaged pickle can raise almost anything (UnicodeDecodeError,
+            # ModuleNotFoundError, ValueError, MemoryError, ...).
             try:
                 path.unlink()
             except OSError:  # pragma: no cover - racing cleanup

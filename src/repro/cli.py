@@ -12,9 +12,7 @@ Three subcommands cover the operator workflow end-to-end:
     print the ASCII placement report, and optionally save the placement
     as JSON (``--out``) and the engine's structured run report —
     per-stage spans plus per-tree member records — as JSON
-    (``--report``).  ``--verbose`` streams structured engine events to
-    stderr and ``--log-json PATH`` appends them as JSON lines with the
-    run's correlation id.
+    (``--report``).
 
 ``report``
     Analyse saved run reports: ``show`` pretty-prints the span tree and
@@ -180,17 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument(
         "--quiet", action="store_true", help="print only the one-line summary"
-    )
-    solve.add_argument(
-        "--verbose",
-        action="store_true",
-        help="stream structured engine events to stderr",
-    )
-    solve.add_argument(
-        "--log-json",
-        default=None,
-        metavar="PATH",
-        help="append structured engine events as JSON lines here",
     )
     solve.add_argument(
         "--no-cache",
@@ -437,17 +424,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             g.n, hier.total_capacity, fill=args.fill, skew=args.skew, seed=args.seed
         )
 
-    logger = None
-    if args.verbose or args.log_json:
-        from repro.obs import StructuredLogger, human_sink, jsonl_sink
-
-        sinks = []
-        if args.log_json:
-            sinks.append(jsonl_sink(args.log_json))
-        if args.verbose:
-            sinks.append(human_sink(sys.stderr))
-        logger = StructuredLogger(sinks)
-
     if args.method in ("hgp", "hgp_feasible"):
         from repro.cache import CacheConfig, get_cache
 
@@ -488,7 +464,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 ProfileConfig(hz=args.profile_hz, path=args.profile)
             )
         with session if session is not None else contextlib.nullcontext():
-            result = solve_hgp(g, hier, d, cfg, logger=logger)
+            result = solve_hgp(g, hier, d, cfg)
         placement = result.placement
         if result.degraded:
             print(

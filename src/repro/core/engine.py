@@ -26,10 +26,9 @@ spans of the member's own :class:`Telemetry` and returns a picklable
 ``dp_seconds`` / ``repair_seconds`` are read from those spans and whose
 ``pid`` names the process that solved it) and the span tree.  The
 process-pool path ships outcomes back from the workers, and
-:func:`fold_members` merges each span tree into the run's and writes
-the member's ``member_solved`` log line from its record — parallel runs
-report the same non-empty breakdown as serial ones, and spans stay the
-one timing model.
+:func:`fold_members` merges each span tree into the run's — parallel
+runs report the same non-empty breakdown as serial ones, and spans stay
+the one timing model.
 
 Everything that solves an HGP instance — batch
 :func:`repro.core.solver.solve_hgp`, streaming re-optimisation, the
@@ -37,13 +36,13 @@ multilevel front-end, the portfolio racer, the k-BGP reduction and
 guided iteration — goes through :func:`run_pipeline` and returns an
 :class:`EngineResult`.  The function that created a call's collector
 owns the run: it alone persists the report (:func:`persist_report`),
-so one top-level call leaves one report covering all of its members.
+so one top-level call leaves one report covering all of its members,
+and every result of the call carries the collector's ``run_id``.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
@@ -70,7 +69,6 @@ from repro.core.telemetry import (
     Span,
     Telemetry,
 )
-from repro.obs.logging import NULL_LOGGER, StructuredLogger, new_run_id
 from repro.obs.metrics import (
     DEFAULT_BYTE_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -175,13 +173,6 @@ class RunContext:
         Demand grid (filled by the ``quantize`` step).
     trees:
         Decomposition-tree ensemble (filled by the ``trees`` step).
-    run_id:
-        Correlation id stamped on every log record this run emits
-        (``member_solved`` lines of pool members included) and on the
-        run report's ``meta``; auto-generated when not supplied.
-    logger:
-        Structured logger the run emits through (``NULL_LOGGER`` =
-        silent; the CLI attaches sinks via ``--verbose``/``--log-json``).
     """
 
     graph: Graph
@@ -191,15 +182,7 @@ class RunContext:
     telemetry: Telemetry
     grid: Optional[DemandGrid] = None
     trees: Optional[List[DecompositionTree]] = None
-    run_id: Optional[str] = None
-    logger: StructuredLogger = NULL_LOGGER
     _gen_ref: Optional[object] = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.run_id is None:
-            self.run_id = new_run_id()
-        if self.logger.run_id != self.run_id:
-            self.logger = self.logger.bind(run_id=self.run_id)
 
     def generation(self, worker_pool):
         """This run's spooled generation payload, published lazily once.
@@ -503,33 +486,16 @@ def publish_member_metrics(records: Sequence[MemberRecord]) -> None:
         dp_seconds.observe(r.dp_seconds)
 
 
-def fold_members(
-    telemetry: Telemetry,
-    outcomes: Sequence[MemberOutcome],
-    logger: StructuredLogger = NULL_LOGGER,
-) -> None:
-    """Fold solved members into a run: records, spans, logs, metrics.
+def fold_members(telemetry: Telemetry, outcomes: Sequence[MemberOutcome]) -> None:
+    """Fold solved members into a run: records, spans, metrics.
 
     Appends each member's record, merges its span tree (the ``dp`` and
     ``repair`` spans it was timed by, wherever it ran) into the current
-    span, writes its ``member_solved`` line to ``logger`` from the
-    record, and publishes the members' metrics.
+    span, and publishes the members' metrics.
     """
     for outcome in outcomes:
-        r = outcome.record
-        telemetry.record_member(r)
+        telemetry.record_member(outcome.record)
         telemetry.current.merge(outcome.spans)
-        logger.debug(
-            "member_solved",
-            pid=r.pid,
-            member=r.index,
-            method=r.method,
-            dp_cost=r.dp_cost,
-            mapped_cost=r.mapped_cost,
-            dp_seconds=r.dp_seconds,
-            repair_seconds=r.repair_seconds,
-            beam_escalations=r.beam_escalations,
-        )
     publish_member_metrics([o.record for o in outcomes])
 
 
@@ -573,9 +539,14 @@ class EngineResult:
     grid: DemandGrid
     telemetry: Telemetry
     config: SolverConfig
-    run_id: Optional[str] = None
     failures: List[MemberFailure] = field(default_factory=list)
     incremental: Optional[bool] = None
+
+    @property
+    def run_id(self) -> str:
+        """The correlation id of the call this run belongs to: its
+        collector's, shared by every engine run folded into it."""
+        return self.telemetry.run_id
 
     @property
     def degraded(self) -> bool:
@@ -590,13 +561,12 @@ class EngineResult:
     def report(self, **meta: object) -> RunReport:
         """Freeze the run into a JSON-serialisable :class:`RunReport`.
 
-        The run's correlation id is stamped into ``meta["run_id"]`` so
-        reports, traces and JSON-lines logs cross-reference, and the
-        kernel backend bound at import (:data:`repro.kernels.BACKEND`)
-        into ``meta["kernel_backend"]``.
+        The run's correlation id is stamped into ``meta["run_id"]`` (the
+        trace drawn from the report carries it as ``otherData.run_id``),
+        and the kernel backend bound at import
+        (:data:`repro.kernels.BACKEND`) into ``meta["kernel_backend"]``.
         """
-        if self.run_id is not None:
-            meta.setdefault("run_id", self.run_id)
+        meta.setdefault("run_id", self.run_id)
         meta.setdefault("kernel_backend", kernels.BACKEND)
         if self.incremental is not None:
             meta.setdefault("incremental", self.incremental)
@@ -631,8 +601,6 @@ def run_pipeline(
     *,
     telemetry: Optional[Telemetry] = None,
     path: str = "batch",
-    run_id: Optional[str] = None,
-    logger: Optional[StructuredLogger] = None,
 ) -> EngineResult:
     """Run the Theorem-1 pipeline on one instance and return its result.
 
@@ -652,15 +620,12 @@ def run_pipeline(
         Pipeline knobs.
     telemetry:
         Collector of a caller that runs several pipelines as one call
-        (portfolio, guided iteration, multilevel, streaming epochs).
-        ``None`` = a new ``Telemetry(path)``, owned by this run.
+        (portfolio, guided iteration, multilevel, streaming epochs);
+        the result takes its ``run_id``.  ``None`` = a new
+        ``Telemetry(path)``, owned by this run.
     path:
         Root-span label for a new collector (``batch``, ``streaming``,
         ``serve``, …).
-    run_id:
-        Correlation id for this run's logs/report (``None`` = fresh id).
-    logger:
-        Structured logger for run events (``None`` = silent).
 
     Notes
     -----
@@ -678,19 +643,6 @@ def run_pipeline(
         demands=d,
         config=config,
         telemetry=tel,
-        run_id=run_id,
-        logger=logger if logger is not None else NULL_LOGGER,
-    )
-    log = ctx.logger
-    started = time.perf_counter()
-    log.info(
-        "run_start",
-        path=tel.path,
-        n=g.n,
-        m=g.m,
-        n_trees=config.n_trees,
-        n_jobs=config.n_jobs,
-        seed=config.seed,
     )
 
     # The Räcke step, through the content-addressed cache (kind "trees",
@@ -709,7 +661,6 @@ def run_pipeline(
             hit, trees = cache.lookup("trees", parts)
         if hit:
             tel.counter("cache_hits", 1)
-            log.info("trees_cache_hit", n_trees=len(trees))
         else:
             trees = racke_ensemble(
                 g,
@@ -735,7 +686,7 @@ def run_pipeline(
     from repro.core.resilience import run_members
 
     outcomes, failures, _restarts = run_members(ctx, len(tel.members))
-    fold_members(tel, outcomes, log)
+    fold_members(tel, outcomes)
     for failure in failures:
         tel.record_failure(failure)
 
@@ -764,15 +715,6 @@ def run_pipeline(
         "Completed engine runs by solve path",
         labelnames=("path",),
     ).inc(path=tel.path)
-    log.info(
-        "run_done",
-        path=tel.path,
-        cost=placement.cost(),
-        seconds=time.perf_counter() - started,
-        members=len(outcomes),
-        failed_members=len(failures),
-        beam_escalations=sum(o.record.beam_escalations for o in outcomes),
-    )
     result = EngineResult(
         placement=placement,
         tree_costs=[o.record.mapped_cost for o in outcomes],
@@ -780,7 +722,6 @@ def run_pipeline(
         grid=ctx.grid,
         telemetry=tel,
         config=config,
-        run_id=ctx.run_id,
         failures=list(failures),
         incremental=incremental_enabled(config),
     )

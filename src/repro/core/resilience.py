@@ -359,12 +359,6 @@ def run_members(
                         break
                 if delay > 0:
                     time.sleep(delay)
-                ctx.logger.info(
-                    "member_retry",
-                    attempt=attempt,
-                    members=list(pending),
-                    delay_s=delay,
-                )
             for m in pending:
                 attempts_used[m] = attempt
             # The last attempt of a multi-attempt policy runs serially
@@ -412,13 +406,6 @@ def run_members(
             "Ensemble members lost past their retry budget, by failure kind",
             labelnames=("kind",),
         ).inc(kind=kind)
-        ctx.logger.info(
-            "member_failed",
-            member=m,
-            kind=kind,
-            attempts=attempts_used.get(m, 0),
-            error=str(exc)[:200],
-        )
     ordered = [outcomes[m] for m in sorted(outcomes)]
     if failures and not (res.allow_partial and len(ordered) >= res.min_members):
         lost = ", ".join(

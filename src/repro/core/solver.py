@@ -46,7 +46,6 @@ from repro.core.engine import (
     solve_member,
     validate_instance,
 )
-from repro.obs.logging import StructuredLogger
 
 __all__ = ["solve_hgp", "solve_hgpt"]
 
@@ -80,7 +79,6 @@ def solve_hgp(
     hierarchy: Hierarchy,
     demands: Sequence[float],
     config: SolverConfig = SolverConfig(),
-    logger: Optional[StructuredLogger] = None,
 ) -> EngineResult:
     """Full bicriteria HGP solver (Theorem 1 pipeline).
 
@@ -94,8 +92,6 @@ def solve_hgp(
         Per-vertex demand in ``(0, leaf_capacity]``.
     config:
         Pipeline knobs (ensemble size, grid, beam, refinement).
-    logger:
-        Structured logger for run events (``None`` = silent).
 
     Returns
     -------
@@ -122,5 +118,5 @@ def solve_hgp(
         # Local import: repro.multilevel sits on top of the engine.
         from repro.multilevel import solve_multilevel
 
-        return solve_multilevel(g, hierarchy, demands, config, logger=logger)
-    return run_pipeline(g, hierarchy, demands, config, path="batch", logger=logger)
+        return solve_multilevel(g, hierarchy, demands, config)
+    return run_pipeline(g, hierarchy, demands, config, path="batch")

@@ -2,8 +2,9 @@
 
 Every top-level solve call (batch, streaming re-optimisation, portfolio,
 k-BGP reduction, guided iteration, multilevel) threads one
-:class:`Telemetry` object through its engine runs.  It records three
-kinds of data:
+:class:`Telemetry` object through its engine runs, and the collector's
+``run_id`` is that call's one correlation id.  It records three kinds
+of data:
 
 * **Spans** — a tree of named intervals, each timed in wall-clock
   seconds and in CPU seconds of the thread that ran it.  A stage
@@ -31,6 +32,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import uuid
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional
@@ -42,7 +44,14 @@ __all__ = [
     "Telemetry",
     "RunReport",
     "active_spans",
+    "new_run_id",
 ]
+
+
+def new_run_id() -> str:
+    """Fresh 12-hex-digit correlation id (unique per run, not per seed)."""
+    return uuid.uuid4().hex[:12]
+
 
 #: Thread ident -> stack of open span names, maintained by
 #: :meth:`Telemetry.span`.  The sampling profiler
@@ -279,9 +288,19 @@ class Telemetry:
         Name of the solve path this telemetry belongs to (``batch``,
         ``streaming``, ``portfolio``, ``kbgp``, ``guided``); becomes the
         root span's name and the report's ``path`` field.
+
+    Attributes
+    ----------
+    run_id:
+        The run's correlation id (:func:`new_run_id`).  Every engine run
+        folded into this collector shares it, so one top-level call has
+        one id: its results, its report's ``meta["run_id"]``, the
+        trace's ``otherData.run_id`` and its persisted
+        ``<path>_<run_id>.json``.
     """
 
     def __init__(self, path: str = "run"):
+        self.run_id = new_run_id()
         self.root = Span(path)
         self._stack: List[Span] = [self.root]
         self.members: List[MemberRecord] = []

@@ -41,7 +41,6 @@ from repro.graph.graph import Graph
 from repro.hierarchy.hierarchy import Hierarchy
 from repro.hierarchy.placement import Placement
 from repro.multilevel.coarsen import CoarseningHierarchy, coarsen_graph
-from repro.obs.logging import NULL_LOGGER, StructuredLogger, new_run_id
 from repro.obs.metrics import get_registry
 
 __all__ = ["MultilevelResult", "solve_multilevel"]
@@ -93,8 +92,6 @@ def solve_multilevel(
     *,
     telemetry: Optional[Telemetry] = None,
     path: str = "multilevel",
-    run_id: Optional[str] = None,
-    logger: Optional[StructuredLogger] = None,
 ) -> MultilevelResult:
     """Coarsen–solve–refine on one HGP instance.
 
@@ -110,21 +107,14 @@ def solve_multilevel(
     telemetry:
         Shared collector (``None`` = a fresh one rooted at ``path``,
         owned by this call: with ``REPRO_RUN_REPORT_DIR`` set, the whole
-        front-end report is persisted once, after refinement).
-    run_id:
-        Correlation id reused for the embedded engine run (``None`` =
-        fresh id), so the front-end report and the engine's logs line up.
-    logger:
-        Structured logger (``None`` = silent).
+        front-end report is persisted once, after refinement).  The
+        coarse solve runs on it, so the result and ``coarse`` share its
+        ``run_id``.
     """
     ml: MultilevelConfig = config.multilevel
     d = np.asarray(demands, dtype=np.float64)
     validate_instance(g, hierarchy, d)
     tel = telemetry if telemetry is not None else Telemetry(path)
-    log = logger if logger is not None else NULL_LOGGER
-    if run_id is None:
-        run_id = new_run_id()
-    log = log.bind(run_id=run_id)
     registry = get_registry()
     registry.counter(
         "repro_multilevel_runs_total", "Multilevel front-end solves started."
@@ -155,13 +145,6 @@ def solve_multilevel(
         "repro_multilevel_shrink_factor",
         "Fine-over-coarsest vertex ratio of the last coarsening.",
     ).set(st.shrink_factor)
-    log.info(
-        "multilevel.coarsened",
-        levels=st.levels,
-        n_coarsest=st.n_coarsest,
-        shrink_factor=round(st.shrink_factor, 3),
-        stalled=st.stalled,
-    )
 
     # The coarsest instance goes through the unchanged engine path, so
     # cache / pool / resilience / telemetry behave exactly as in a flat
@@ -175,8 +158,6 @@ def solve_multilevel(
             levels.demands[-1],
             inner_cfg,
             telemetry=tel,
-            run_id=run_id,
-            logger=log,
         )
 
     leaf = coarse.placement.leaf_of
@@ -208,12 +189,6 @@ def solve_multilevel(
         "repro_multilevel_refine_gain_total",
         "Eq. (1) cost reduction won by uncoarsening refinement.",
     ).inc(gain_total)
-    log.info(
-        "multilevel.refined",
-        levels=len(levels.maps),
-        moves=moves_total,
-        gain=round(gain_total, 6),
-    )
 
     placement = Placement(
         g,
@@ -236,7 +211,6 @@ def solve_multilevel(
         grid=coarse.grid,
         telemetry=tel,
         config=config,
-        run_id=run_id,
         failures=coarse.failures,
         incremental=coarse.incremental,
         coarse=coarse,

@@ -1,13 +1,10 @@
-"""Observability: metrics, structured logging, trace export, report tooling.
+"""Observability: metrics, trace export, report tooling, profiling.
 
 Turns the engine's write-only telemetry into operator-facing artifacts:
 
 * :mod:`repro.obs.metrics` — process-local counters / gauges / bounded
   histograms with Prometheus text exposition; the engine, flow, cache
   and online hot paths publish here.
-* :mod:`repro.obs.logging` — JSON-lines structured logging with a
-  per-run correlation id; pool members are logged by the parent from
-  their records, so the id covers them too.
 * :mod:`repro.obs.trace` — run reports → Chrome trace-event JSON with
   one member lane per process that solved members (view in Perfetto).
 * :mod:`repro.obs.report` — pretty rendering and regression-gating
@@ -20,14 +17,6 @@ Turns the engine's write-only telemetry into operator-facing artifacts:
 See ``docs/observability.md`` for the metrics catalog and workflows.
 """
 
-from repro.obs.logging import (
-    ListSink,
-    NULL_LOGGER,
-    StructuredLogger,
-    human_sink,
-    jsonl_sink,
-    new_run_id,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -58,12 +47,6 @@ __all__ = [
     "ProfileConfig",
     "ProfileSession",
     "SamplingProfiler",
-    "StructuredLogger",
-    "ListSink",
-    "NULL_LOGGER",
-    "new_run_id",
-    "jsonl_sink",
-    "human_sink",
     "report_to_trace",
     "write_trace",
     "load_report",

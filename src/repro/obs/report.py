@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core.telemetry import RunReport, Span
+from repro.errors import InvalidInputError
 
 __all__ = [
     "load_report",
@@ -40,8 +41,18 @@ MIN_NEW_STAGE_SECONDS = 1e-6
 
 
 def load_report(path: Union[str, Path]) -> RunReport:
-    """Read a run report from a JSON file."""
-    return RunReport.from_json(Path(path).read_text())
+    """Read a run report from a JSON file.
+
+    Raises :class:`repro.errors.InvalidInputError` naming ``path`` when
+    the file is not JSON or not a run report, so a broken file is an
+    input error (CLI exit 2), never a diff regression (exit 1).
+    """
+    try:
+        return RunReport.from_json(Path(path).read_text())
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InvalidInputError(
+            f"{path} is not a run report ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def _render_span(span: Span, depth: int, lines: List[str]) -> None:

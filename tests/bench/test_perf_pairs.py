@@ -63,6 +63,41 @@ class TestVerdict:
         # A zero base median (no violation at all) flags any worsening.
         assert perf_pairs.verdict([0.0] * 5, [0.1] * 5, "lower", 0.25)["worse"]
 
+    def test_wide_spread_is_unresolved(self, perf_pairs):
+        # Base IQR 0.5 on a median of 1.0, past the 25% bound; the change
+        # reads the same median and sits inside the base's range.
+        base = [0.5, 0.75, 1.0, 1.25, 1.5]
+        change = [0.6, 0.8, 1.0, 1.2, 1.4]
+        v = perf_pairs.verdict(base, change, "lower", 0.25)
+        assert v["unresolved"] and not v["worse"] and not v["gain"]
+
+    def test_wide_spread_all_change_runs_better_is_resolved(self, perf_pairs):
+        base = [1.0, 1.25, 1.5, 1.75, 2.0]
+        change = [0.5, 0.6, 0.7, 0.8, 0.9]
+        assert not perf_pairs.verdict(base, change, "lower", 0.25)["unresolved"]
+
+    def test_equal_on_every_seed_is_resolved(self, perf_pairs):
+        base = [0.5, 0.75, 1.0, 1.25, 1.5]
+        assert not perf_pairs.verdict(base, list(base), "lower", 0.25)["unresolved"]
+
+    def test_spread_inside_the_bound_is_resolved(self, perf_pairs):
+        base = [0.95, 0.98, 1.0, 1.02, 1.05]
+        change = [1.0, 1.01, 1.02, 0.97, 0.99]
+        v = perf_pairs.verdict(base, change, "lower", 0.25)
+        assert not v["unresolved"] and not v["worse"]
+
+    def test_report_names_unresolved_metrics(self, perf_pairs):
+        spec = {"end_to_end": [{"name": "latency_p50_s", "better": "lower", "bound": 0.25}]}
+        base, change = [0.5, 0.75, 1.0, 1.25, 1.5], [0.6, 0.8, 1.0, 1.2, 1.4]
+        results = {
+            s: {"base": fake_result(b), "change": fake_result(c)}
+            for s, (b, c) in enumerate(zip(base, change))
+        }
+        lines, bad = perf_pairs.report(spec, results)
+        assert lines[1].endswith("unresolved (base IQR 50% > bound 25%)")
+        assert lines[-1] == "verdict: nothing worse; unresolved: latency_p50_s"
+        assert not bad
+
     def test_parse_seeds(self, perf_pairs):
         assert perf_pairs.parse_seeds("11-20") == list(range(11, 21))
         assert perf_pairs.parse_seeds("3") == [3]

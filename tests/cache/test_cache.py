@@ -202,14 +202,25 @@ class TestDiskTier:
         second.lookup("gomory_hu", (1,))
         assert second.stats.hits == 1
 
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"not a pickle",
+            b"X\x02\x00\x00\x00\xff\xfe.",  # UnicodeDecodeError
+            b"cnosuchmodule\nattr\n.",  # ModuleNotFoundError
+            b"\x80\x05\x95" + bytes(8) + b"I1x\n.",  # ValueError
+        ],
+        ids=["not-a-pickle", "bad-utf8", "no-module", "bad-int"],
+    )
+    def test_corrupt_disk_entry_is_a_miss(self, tmp_path, payload):
         disk = tmp_path / "cachedir"
         cache = SolverCache(max_bytes=1 << 20, disk_dir=str(disk))
         key = cache.store("k", (1,), "v")
         path = disk / "k" / f"{key}.pkl"
-        path.write_bytes(b"not a pickle")
+        path.write_bytes(payload)
         fresh = SolverCache(max_bytes=1 << 20, disk_dir=str(disk))
         assert not fresh.lookup("k", (1,))[0]
+        assert fresh.stats.misses == 1
         assert not path.exists()  # dropped on read failure
 
     def test_clear_tiers(self, tmp_path):
@@ -273,6 +284,27 @@ class TestConfigPlumbing:
         with pytest.raises(InvalidInputError, match="REPRO_CACHE_MAX_BYTES"):
             SolverCache()
         with pytest.raises(InvalidInputError, match="REPRO_CACHE_MAX_BYTES"):
+            get_cache()
+
+    @pytest.mark.parametrize("text", ["1", "true", "yes", "on", "TRUE", "Yes", "ON"])
+    def test_env_disable_switches_off(self, monkeypatch, text):
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", text)
+        assert SolverCache().enabled is False
+
+    @pytest.mark.parametrize("text", [None, "", "0", "false", "no", "off", "OFF", "No"])
+    def test_env_disable_leaves_on(self, monkeypatch, text):
+        if text is None:
+            monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_CACHE_DISABLE", text)
+        assert SolverCache().enabled is True
+
+    @pytest.mark.parametrize("text", ["maybe", "2", "disable"])
+    def test_malformed_env_disable_rejected_by_name(self, monkeypatch, text):
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", text)
+        with pytest.raises(InvalidInputError, match="REPRO_CACHE_DISABLE"):
+            SolverCache()
+        with pytest.raises(InvalidInputError, match="REPRO_CACHE_DISABLE"):
             get_cache()
 
     def test_negative_max_bytes_rejected(self):

@@ -381,6 +381,14 @@ class TestCacheCommands:
         assert err.startswith("error: REPRO_CACHE_MAX_BYTES ")
         assert "Traceback" not in err
 
+    def test_malformed_cache_disable_exits_2(self, graph_file, capsys, monkeypatch):
+        path, _g = graph_file
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "maybe")
+        assert main(self._solve_args(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_CACHE_DISABLE ")
+        assert "Traceback" not in err
+
     def test_serve_malformed_cache_budget_exits_2(self, capsys, monkeypatch):
         import socket
 

@@ -91,6 +91,7 @@ class TestParallelPath:
         assert repair.seconds == pytest.approx(
             sum(m.repair_seconds for m in members)
         )
+        assert_meta_stamps(result)
 
 
 class TestPortfolioPath:

@@ -103,6 +103,43 @@ class TestOneReportPerCall:
         assert list(report_dir.glob("*.json")) == []
 
 
+class TestOneIdPerCall:
+    """Every engine run folded into one collector shares the collector's
+    id, so one top-level call has one id."""
+
+    def test_runs_on_one_collector_share_its_id(self, clustered_instance):
+        g, h, d = clustered_instance
+        tel = Telemetry("caller")
+        first = run_pipeline(g, h, d, CFG, telemetry=tel)
+        second = run_pipeline(g, h, d, CFG, telemetry=tel)
+        assert first.run_id == second.run_id == tel.run_id
+
+    def test_top_level_calls_get_distinct_ids(self, clustered_instance):
+        g, h, d = clustered_instance
+        a, b = run_pipeline(g, h, d, CFG), run_pipeline(g, h, d, CFG)
+        assert a.run_id != b.run_id
+        assert a.cost == b.cost
+
+    def test_portfolio_report_takes_the_portfolio_id(
+        self, report_dir, clustered_instance
+    ):
+        g, h, d = clustered_instance
+        result = solve_hgp_portfolio(g, h, d, seed_portfolio(CFG, 3))
+        assert result.run_id == result.telemetry.run_id
+        data = only_report(report_dir, "portfolio", result.run_id)
+        assert data["meta"]["run_id"] == result.run_id
+
+    def test_multilevel_shares_the_coarse_id(self, clustered_instance):
+        g, h, d = clustered_instance
+        cfg = SolverConfig(
+            n_trees=2,
+            seed=0,
+            multilevel=MultilevelConfig(enabled=True, coarsen_to=12),
+        )
+        result = solve_multilevel(g, h, d, cfg)
+        assert result.run_id == result.coarse.run_id == result.telemetry.run_id
+
+
 class TestOneProfilePerCall:
     def test_portfolio_profile_sees_every_run(self, clustered_instance):
         g, h, d = clustered_instance

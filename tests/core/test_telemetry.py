@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import threading
 import time
 
@@ -165,6 +166,14 @@ class TestSpans:
         with tel.span("dp"):
             pass
         assert len(tel.find_spans("dp")) == 2
+
+
+class TestRunId:
+    def test_each_collector_owns_a_12_hex_id(self):
+        a, b = Telemetry("batch"), Telemetry("batch")
+        for tel in (a, b):
+            assert re.fullmatch(r"[0-9a-f]{12}", tel.run_id)
+        assert a.run_id != b.run_id
 
 
 class TestSerialization:

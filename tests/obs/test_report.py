@@ -120,6 +120,28 @@ class TestReportCli:
         path.write_text(make_report().to_json() + "\n")
         return path
 
+    @pytest.mark.parametrize("command", ["show", "trace", "flame", "diff"])
+    @pytest.mark.parametrize(
+        "content", ["not json", "[]", '{"path": "x"}'], ids=["text", "list", "no-spans"]
+    )
+    def test_broken_report_is_an_input_error(
+        self, report_file, tmp_path, capsys, command, content
+    ):
+        """A broken file exits 2 naming it; a broken ``diff`` baseline is
+        not a regression (exit 1)."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        argv = {
+            "show": ["show", str(bad)],
+            "trace": ["trace", str(bad), "--out", str(tmp_path / "t.json")],
+            "flame": ["flame", str(bad)],
+            "diff": ["diff", str(bad), str(report_file), "--fail-above", "5"],
+        }[command]
+        assert main(["report", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} is not a run report")
+        assert "Traceback" not in err
+
     def test_show(self, report_file, capsys):
         assert main(["report", "show", str(report_file)]) == 0
         out = capsys.readouterr().out
@@ -239,22 +261,14 @@ class TestSolveCliFlags:
             "--quiet",
         ]
 
-    def test_log_json_records_run(self, graph_file, tmp_path, capsys):
-        log = tmp_path / "run.jsonl"
-        rc = main(self._solve_args(graph_file) + ["--log-json", str(log)])
-        assert rc == 0
-        records = [json.loads(line) for line in log.read_text().splitlines()]
-        events = [r["event"] for r in records]
-        assert events[0] == "run_start"
-        assert events[-1] == "run_done"
-        assert len({r["run_id"] for r in records}) == 1
-
-    def test_verbose_writes_stderr(self, graph_file, capsys):
-        rc = main(self._solve_args(graph_file) + ["--verbose"])
-        assert rc == 0
-        err = capsys.readouterr().err
-        assert "run_start" in err
-        assert "run_done" in err
+    @pytest.mark.parametrize(
+        "flag", [["--verbose"], ["--log-json", "x.jsonl"]], ids=["verbose", "log-json"]
+    )
+    def test_event_log_flags_are_argparse_errors(self, graph_file, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self._solve_args(graph_file) + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_default_output_unchanged(self, graph_file, capsys):
         rc = main(self._solve_args(graph_file))

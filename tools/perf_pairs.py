@@ -17,7 +17,12 @@ metric's ``better``) and:
 * ``gain`` — the change won at least 9 of every 10 pairs and the gap
   between the medians exceeds the base's interquartile range;
 * ``WORSE`` — the change's median is worse than the base's by more
-  than the metric's ``bound``.
+  than the metric's ``bound``;
+* ``unresolved`` — neither of the above, but the base's interquartile
+  range is wider than ``bound`` times its median, the two sides differ
+  on some seed and not every change run is better than every base run:
+  the spread is too wide to call the metric unchanged.  Unresolved is
+  not WORSE and does not change the exit code.
 
 It also says whether ``eq1_cost`` and ``cap_violation`` are equal on
 every seed.  With ``--trace 1`` it prints, for every per-layer metric,
@@ -102,14 +107,23 @@ def verdict(base: Sequence[float], change: Sequence[float], better: str, bound: 
     bq1, bmed, bq3 = quartiles(base)
     cq1, cmed, cq3 = quartiles(change)
     gap = sign * (cmed - bmed)  # > 0: the change's median is better
+    gain = wins >= WIN_SHARE * len(base) and gap > bq3 - bq1
+    worse = -gap > bound * abs(bmed) if bmed else -gap > 0
+    all_better = min(sign * c for c in change) > max(sign * b for b in base)
+    unresolved = (
+        not (gain or worse or all_better)
+        and bq3 - bq1 > bound * abs(bmed)
+        and list(base) != list(change)
+    )
     return {
         "base": (bmed, bq1, bq3),
         "change": (cmed, cq1, cq3),
         "wins": wins,
         "losses": losses,
         "pairs": len(base),
-        "gain": wins >= WIN_SHARE * len(base) and gap > bq3 - bq1,
-        "worse": -gap > bound * abs(bmed) if bmed else -gap > 0,
+        "gain": gain,
+        "worse": worse,
+        "unresolved": unresolved,
     }
 
 
@@ -169,12 +183,18 @@ def report(spec: dict, results: Dict[int, Dict[str, dict]]) -> Tuple[List[str], 
         f"{'change median [q1, q3]':30s} {'change':>8s} {'wins':>6s}  verdict"
     ]
     bad = False
+    unresolved = []
     for m in spec["end_to_end"]:
         name = m["name"]
         base, change = _values(results, "base", name), _values(results, "change", name)
         v = verdict(base, change, m["better"], m["bound"])
         rel = _relative(v["base"][0], v["change"][0])
         flags = ["gain"] * v["gain"] + [f"WORSE (bound {m['bound']:.0%})"] * v["worse"]
+        if v["unresolved"]:
+            bmed, bq1, bq3 = v["base"]
+            spread = (bq3 - bq1) / abs(bmed) if bmed else float("inf")
+            flags.append(f"unresolved (base IQR {spread:.0%} > bound {m['bound']:.0%})")
+            unresolved.append(name)
         bad |= v["worse"]
         lines.append(
             f"{name:15s} {m['better']:6s} {'%.4g [%.4g, %.4g]' % v['base']:30s} "
@@ -195,7 +215,11 @@ def report(spec: dict, results: Dict[int, Dict[str, dict]]) -> Tuple[List[str], 
     run_lines, failed = _run_lines(results)
     bad |= failed
     lines += run_lines
-    lines.append("verdict: " + ("CHECK the flagged lines" if bad else "nothing worse"))
+    lines.append(
+        "verdict: "
+        + ("CHECK the flagged lines" if bad else "nothing worse")
+        + (f"; unresolved: {', '.join(unresolved)}" if unresolved else "")
+    )
     return lines, bad
 
 
